@@ -84,7 +84,8 @@ pub fn register(h: &mut Harness) {
 
     // Characterize a reduced universe proxy via the full API once, then
     // bench the sampling composition.
-    let universe = characterize_stage_universe(&ctx, &mut lib, 0.4, 15).expect("characterizes");
+    let universe =
+        characterize_stage_universe(&ctx, &mut lib, 0.4, 15, None).expect("characterizes");
     h.bench(SUITE, "fig6_monte_carlo_10k_samples", || {
         black_box(monte_carlo_from_universe(&ctx, &universe, 10_000, 7))
     });

@@ -285,8 +285,10 @@ impl DeviceLibrary {
         ctx: &ExecCtx,
         variant: DeviceVariant,
     ) -> Result<Arc<DeviceTable>, ExploreError> {
+        // `0.0 - q`, not `-q`: an uncharged variant must stay at +0.0, or
+        // it keys a second copy of the n-type table and its model.
         let mirrored_variant = DeviceVariant {
-            charge_q: -variant.charge_q,
+            charge_q: 0.0 - variant.charge_q,
             ..variant
         };
         let n_table = self.ntype_table(ctx, mirrored_variant)?;
@@ -364,6 +366,23 @@ mod tests {
         let a = n.current(0.5, 0.3);
         let b = p.current(-0.5, -0.3);
         assert!((a + b).abs() < 1e-12 * a.abs().max(1e-18));
+    }
+
+    /// An uncharged p-type request mirrors to charge +0.0, the key its
+    /// n-type twin was built under, so it is served from the memo.
+    #[test]
+    fn uncharged_ptype_reuses_the_ntype_table_and_model() {
+        let mut lib = DeviceLibrary::new(Fidelity::Fast);
+        for v in [
+            DeviceVariant::nominal(),
+            DeviceVariant::width(9, ArrayScenario::AllFour),
+        ] {
+            lib.ntype_table(&ctx(), v).unwrap();
+            let (models, tables) = (lib.models.len(), lib.tables.len());
+            lib.ptype_table(&ctx(), v).unwrap();
+            assert_eq!(lib.models.len(), models, "no new model for {v:?}");
+            assert_eq!(lib.tables.len(), tables, "no new table for {v:?}");
+        }
     }
 
     #[test]

@@ -172,11 +172,12 @@ const DEAD_CELL: InverterFigures = InverterFigures {
 /// Characterizes the stage universe once; sampling via
 /// [`monte_carlo_from_universe`] is then microseconds per ring.
 ///
-/// The 81 cell characterizations fan out across `ctx`'s thread pool.
-/// Because the nine n-type and nine p-type shifted tables are pre-warmed
-/// serially (the [`DeviceLibrary`] memoizes under `&mut self`) and fault
-/// probes are pre-drawn in cell order, the resulting universe — and every
-/// recorded fault — is bit-identical for any pool size.
+/// The 81 cell characterizations fan out across `ctx`'s thread pool in
+/// chunks of [`CHARACTERIZE_CHECKPOINT_CHUNK`] cells. Because the nine
+/// n-type and nine p-type shifted tables are pre-warmed serially (the
+/// [`DeviceLibrary`] memoizes under `&mut self`) and fault probes are
+/// pre-drawn in cell order, the resulting universe — and every recorded
+/// fault — is bit-identical for any pool size.
 ///
 /// Per-cell failures are isolated into dead cells (NaN figures, so rings
 /// drawing them stall and count against yield) and recorded in
@@ -184,55 +185,29 @@ const DEAD_CELL: InverterFigures = InverterFigures {
 /// Only the nominal reference cell stays fatal, since every other figure
 /// is normalized against it.
 ///
+/// The context's budget and cancel token are probed before every chunk
+/// (a no-op on an unlimited context). When `checkpoint_path` is set, the
+/// completed-cell prefix is persisted (write-temp-then-rename) after every
+/// chunk, keyed on fidelity, `vdd`, and `stages`; a later call with the
+/// same arguments resumes from the prefix and produces a bit-identical
+/// universe. A stale or corrupt file is discarded (and deleted) for a
+/// clean from-scratch restart. The checkpoint is removed on completion.
+/// Restored dead cells are not re-recorded in `ctx.faults()` — their fault
+/// events belong to the run that computed them.
+///
 /// # Errors
 ///
-/// Propagates nominal-reference characterization failures.
+/// Propagates nominal-reference characterization failures;
+/// [`NumError::BudgetExhausted`] / `Cancelled` (via [`ExploreError::Num`])
+/// when the context's budget trips between chunks — the checkpoint then
+/// holds every completed cell — and configuration errors for unwritable
+/// checkpoint paths.
 pub fn characterize_stage_universe(
     ctx: &ExecCtx,
     lib: &mut DeviceLibrary,
     vdd: f64,
     stages: usize,
-) -> Result<StageUniverse, ExploreError> {
-    characterize_universe_engine(ctx, lib, vdd, stages, None, false)
-}
-
-/// [`characterize_stage_universe`] under the context's execution budget,
-/// with crash-consistent checkpoint/resume.
-///
-/// When `checkpoint_path` is set, the completed-cell prefix is persisted
-/// (write-temp-then-rename) after every chunk of
-/// [`CHARACTERIZE_CHECKPOINT_CHUNK`] cells, keyed on fidelity, `vdd`, and
-/// `stages`; a later call with the same arguments resumes from the prefix
-/// and produces a bit-identical universe. A stale or corrupt file is
-/// discarded (and deleted) for a clean from-scratch restart. The
-/// checkpoint is removed on completion. Restored dead cells are not
-/// re-recorded in `ctx.faults()` — their fault events belong to the run
-/// that computed them.
-///
-/// # Errors
-///
-/// As [`characterize_stage_universe`], plus
-/// [`NumError::BudgetExhausted`] / `Cancelled` (via [`ExploreError::Num`])
-/// when the context's budget trips between chunks — the checkpoint then
-/// holds every completed cell — and configuration errors for unwritable
-/// checkpoint paths.
-pub fn characterize_stage_universe_resumable(
-    ctx: &ExecCtx,
-    lib: &mut DeviceLibrary,
-    vdd: f64,
-    stages: usize,
     checkpoint_path: Option<&Path>,
-) -> Result<StageUniverse, ExploreError> {
-    characterize_universe_engine(ctx, lib, vdd, stages, checkpoint_path, true)
-}
-
-fn characterize_universe_engine(
-    ctx: &ExecCtx,
-    lib: &mut DeviceLibrary,
-    vdd: f64,
-    stages: usize,
-    checkpoint_path: Option<&Path>,
-    enforce_budget: bool,
 ) -> Result<StageUniverse, ExploreError> {
     let _stage_timer = ctx.time_scope("mc.characterize.time");
     let shift = lib.min_leakage_shift(vdd)?;
@@ -302,14 +277,8 @@ fn characterize_universe_engine(
             }
         }
     }
-    let mut interrupted: Option<NumError> = None;
     while figures.len() < 81 {
-        if enforce_budget {
-            if let Err(e) = ctx.check_budget("characterize.chunk") {
-                interrupted = Some(e);
-                break;
-            }
-        }
+        ctx.check_budget("characterize.chunk")?;
         let lo = figures.len();
         let hi = (lo + CHARACTERIZE_CHECKPOINT_CHUNK).min(81);
         let cells: Vec<Result<InverterFigures, String>> = ctx.par_map_indexed(hi - lo, |i| {
@@ -351,9 +320,6 @@ fn characterize_universe_engine(
                 .map_err(|e| ExploreError::config(format!("checkpoint write failed: {e}")))?;
         }
     }
-    if let Some(e) = interrupted {
-        return Err(e.into());
-    }
     if let Some(path) = checkpoint_path {
         // Completed: the checkpoint has served its purpose.
         let _ = std::fs::remove_file(path);
@@ -376,41 +342,27 @@ fn cfg_index(w: usize, q: f64) -> usize {
     wi * 3 + qi
 }
 
-/// Runs the Monte Carlo study: `samples` oscillators of `stages` stages,
-/// devices drawn per the paper's discretized normal. Characterization
-/// faults (cell id, stage `"characterize"`) and stalled rings (sample id,
-/// stage `"ring"`) are recorded in `ctx.faults()`.
+/// Samples `samples` rings from a pre-characterized universe — the
+/// checkpoint-free, sink-free call of [`monte_carlo_from_universe_resumable`].
+/// All RNG draws happen serially up front (in the exact per-sample,
+/// per-stage `nw, nq, pw, pq` order of the historic serial loop), so
+/// results are bit-identical for any pool size. Stalled rings are recorded
+/// in `ctx.faults()` (sample id, stage `"ring"`), in sample order.
 ///
-/// # Errors
-///
-/// Propagates characterization failures.
-pub fn ring_oscillator_monte_carlo(
-    ctx: &ExecCtx,
-    lib: &mut DeviceLibrary,
-    vdd: f64,
-    stages: usize,
-    samples: usize,
-    seed: u64,
-) -> Result<MonteCarloResult, ExploreError> {
-    let universe = characterize_stage_universe(ctx, lib, vdd, stages)?;
-    Ok(monte_carlo_from_universe(ctx, &universe, samples, seed))
-}
-
-/// Samples `samples` rings from a pre-characterized universe, fanning the
-/// per-sample composition across `ctx`'s thread pool. All RNG draws happen
-/// serially up front (in the exact per-sample, per-stage `nw, nq, pw, pq`
-/// order of the historic serial loop), so results are bit-identical for
-/// any pool size. Stalled rings are recorded in `ctx.faults()` (sample id,
-/// stage `"ring"`), in sample order.
+/// The context's budget is probed before every [`MC_CHECKPOINT_CHUNK`]
+/// samples. When it trips, the result holds the completed sample prefix
+/// (bit-identical to the same samples of a full run) and the stop itself
+/// is dropped; call [`monte_carlo_from_universe_resumable`] to see it. On
+/// an unlimited context every sample is composed.
 pub fn monte_carlo_from_universe(
     ctx: &ExecCtx,
     universe: &StageUniverse,
     samples: usize,
     seed: u64,
 ) -> MonteCarloResult {
-    let (totals, _) = mc_totals_engine(ctx, universe, samples, seed, None, false)
-        .expect("checkpoint-free unbudgeted engine cannot fail");
-    result_from_totals(ctx, universe, &totals)
+    monte_carlo_from_universe_resumable(ctx, universe, samples, seed, None, None)
+        .expect("only checkpoint IO can fail, and there is no checkpoint")
+        .result
 }
 
 /// Outcome of a budget-aware, checkpointable Monte Carlo run
@@ -436,47 +388,6 @@ impl McRunOutcome {
     }
 }
 
-/// [`monte_carlo_from_universe`] under the context's execution budget, with
-/// crash-consistent checkpoint/resume.
-///
-/// The sample loop runs in chunks of [`MC_CHECKPOINT_CHUNK`]; the budget
-/// and cancel token (see [`ExecCtx::check_budget`]) are probed at every
-/// chunk boundary. When `checkpoint_path` is set, the completed per-sample
-/// records are persisted (write-temp-then-rename) after each chunk, keyed
-/// on the universe content, sample count, and RNG seed.
-///
-/// A resumed run replays the *entire* serial pre-draw (every RNG draw of
-/// every sample, finished or not) and then skips the restored prefix, so
-/// the final summary is bit-identical to an uninterrupted run at any
-/// `GNR_THREADS`. A stale or corrupt checkpoint is discarded (and deleted)
-/// for a clean from-scratch restart; the file is removed on completion.
-/// Stall fault events for restored samples are re-recorded during the
-/// final merge, in sample order.
-///
-/// # Errors
-///
-/// Returns a configuration error when the checkpoint path is unwritable.
-/// Budget exhaustion is NOT an error: it is reported via
-/// [`McRunOutcome::interrupted`] alongside the partial statistics.
-pub fn monte_carlo_from_universe_resumable(
-    ctx: &ExecCtx,
-    universe: &StageUniverse,
-    samples: usize,
-    seed: u64,
-    checkpoint_path: Option<&Path>,
-) -> Result<McRunOutcome, ExploreError> {
-    let (totals, interrupted) =
-        mc_totals_engine(ctx, universe, samples, seed, checkpoint_path, true)?;
-    let completed = totals.len();
-    let result = result_from_totals(ctx, universe, &totals);
-    Ok(McRunOutcome {
-        result,
-        completed_samples: completed,
-        requested_samples: samples,
-        interrupted,
-    })
-}
-
 /// One streamed chunk of a Monte Carlo run: the per-sample
 /// `(period, energy, leakage)` totals for samples
 /// `start .. start + totals.len()`, emitted as soon as the chunk lands.
@@ -491,101 +402,43 @@ pub struct McChunk {
     pub restored: bool,
 }
 
-/// [`monte_carlo_from_universe_resumable`] with incremental delivery:
-/// `sink` receives every completed chunk ([`MC_CHECKPOINT_CHUNK`] samples,
-/// last one possibly short) as soon as it lands, in sample order. On a
-/// resumed run the restored prefix arrives first as a single chunk with
-/// [`McChunk::restored`] set, so a consumer always sees the full
-/// contiguous sample range exactly once. Chunk contents are bit-identical
-/// for any `GNR_THREADS` (the chunk boundaries are fixed and the merge is
-/// ordered).
+/// The Monte Carlo sampling core: composes `samples` rings from a
+/// pre-characterized universe under the context's execution budget, with
+/// crash-consistent checkpoint/resume and optional streaming delivery.
+///
+/// Every RNG draw of every sample is made serially up front, then the
+/// samples are composed in chunks of [`MC_CHECKPOINT_CHUNK`] across
+/// `ctx`'s pool with an index-ordered merge. The budget and cancel token
+/// (see [`ExecCtx::check_budget`]) are probed at every chunk boundary.
+/// When `checkpoint_path` is set, the completed per-sample records are
+/// persisted (write-temp-then-rename) after each chunk, keyed on the
+/// universe content, sample count, and RNG seed.
+///
+/// A resumed run replays the *entire* serial pre-draw and then skips the
+/// restored prefix, so the final summary is bit-identical to an
+/// uninterrupted run at any `GNR_THREADS`. A stale or corrupt checkpoint
+/// is discarded (and deleted) for a clean from-scratch restart; the file
+/// is removed on completion. Stall fault events for restored samples are
+/// re-recorded during the final merge, in sample order.
+///
+/// When `sink` is set it receives every chunk as soon as it lands, in
+/// sample order (last one possibly short). On a resumed run the restored
+/// prefix arrives first as a single chunk with [`McChunk::restored`] set,
+/// so a consumer sees the full contiguous sample range exactly once.
 ///
 /// # Errors
 ///
-/// As [`monte_carlo_from_universe_resumable`].
-pub fn monte_carlo_from_universe_streaming(
+/// Returns a configuration error when the checkpoint path is unwritable.
+/// Budget exhaustion is NOT an error: it is reported via
+/// [`McRunOutcome::interrupted`] alongside the partial statistics.
+pub fn monte_carlo_from_universe_resumable(
     ctx: &ExecCtx,
     universe: &StageUniverse,
     samples: usize,
     seed: u64,
     checkpoint_path: Option<&Path>,
-    sink: &mut dyn FnMut(&McChunk),
-) -> Result<McRunOutcome, ExploreError> {
-    let (totals, interrupted) = mc_totals_engine_with(
-        ctx,
-        universe,
-        samples,
-        seed,
-        checkpoint_path,
-        true,
-        Some(sink),
-    )?;
-    let completed = totals.len();
-    let result = result_from_totals(ctx, universe, &totals);
-    Ok(McRunOutcome {
-        result,
-        completed_samples: completed,
-        requested_samples: samples,
-        interrupted,
-    })
-}
-
-/// FNV identity of a sampling run: universe content, stage count, and
-/// sample count (the seed is carried separately in the checkpoint header).
-fn mc_universe_key(universe: &StageUniverse, samples: usize) -> u64 {
-    let mut h = KeyHasher::new();
-    h.write_str(MC_CHECKPOINT_KIND);
-    h.write_u64(universe.stages as u64);
-    h.write_u64(samples as u64);
-    for f in &universe.figures {
-        h.write_f64(f.delay_s);
-        h.write_f64(f.static_w);
-        h.write_f64(f.dynamic_w);
-        h.write_f64(f.energy_j);
-        h.write_f64(f.snm_v);
-    }
-    h.finish()
-}
-
-/// Per-sample `(period, energy, leakage)` totals for a completed prefix,
-/// plus the budget stop that ended the run early, if any.
-type McTotals = (Vec<(f64, f64, f64)>, Option<NumError>);
-
-/// The chunked composition engine shared by the plain and resumable entry
-/// points: pre-draws every sample serially, restores any checkpointed
-/// prefix, then composes the remaining samples chunk by chunk. Returns the
-/// per-sample `(period, energy, leakage)` totals for the completed prefix
-/// plus the budget stop that ended the run early, if any.
-fn mc_totals_engine(
-    ctx: &ExecCtx,
-    universe: &StageUniverse,
-    samples: usize,
-    seed: u64,
-    checkpoint_path: Option<&Path>,
-    enforce_budget: bool,
-) -> Result<McTotals, ExploreError> {
-    mc_totals_engine_with(
-        ctx,
-        universe,
-        samples,
-        seed,
-        checkpoint_path,
-        enforce_budget,
-        None,
-    )
-}
-
-/// [`mc_totals_engine`] with an optional per-chunk sink (the streaming
-/// delivery path); `None` skips all chunk notifications.
-fn mc_totals_engine_with(
-    ctx: &ExecCtx,
-    universe: &StageUniverse,
-    samples: usize,
-    seed: u64,
-    checkpoint_path: Option<&Path>,
-    enforce_budget: bool,
     mut sink: Option<&mut dyn FnMut(&McChunk)>,
-) -> Result<McTotals, ExploreError> {
+) -> Result<McRunOutcome, ExploreError> {
     let _stage_timer = ctx.time_scope("mc.sample.time");
     let stages = universe.stages;
     let pair =
@@ -609,32 +462,35 @@ fn mc_totals_engine_with(
 
     let key = mc_universe_key(universe, samples);
     let mut totals: Vec<(f64, f64, f64)> = Vec::with_capacity(samples);
+    // Chunks are handed to the sink by reference and then moved into
+    // `totals`, so streaming costs no copy and the sink-free path none
+    // either.
+    let mut deliver = |chunk: McChunk, totals: &mut Vec<(f64, f64, f64)>| {
+        if let Some(sink) = sink.as_mut() {
+            sink(&chunk);
+        }
+        totals.extend(chunk.totals);
+    };
     if let Some(path) = checkpoint_path {
         if let LoadOutcome::Resume(cp) =
             checkpoint::load(path, MC_CHECKPOINT_KIND, key, seed, samples)
         {
-            if cp.records.iter().all(|r| r.len() == 3) {
-                totals.extend(cp.records.iter().map(|r| (r[0], r[1], r[2])));
+            if !cp.records.is_empty() && cp.records.iter().all(|r| r.len() == 3) {
+                let restored = McChunk {
+                    start: 0,
+                    totals: cp.records.iter().map(|r| (r[0], r[1], r[2])).collect(),
+                    restored: true,
+                };
+                deliver(restored, &mut totals);
             }
-        }
-    }
-    if !totals.is_empty() {
-        if let Some(sink) = sink.as_mut() {
-            sink(&McChunk {
-                start: 0,
-                totals: totals.clone(),
-                restored: true,
-            });
         }
     }
 
     let mut interrupted: Option<NumError> = None;
     while totals.len() < samples {
-        if enforce_budget {
-            if let Err(e) = ctx.check_budget("mc.chunk") {
-                interrupted = Some(e);
-                break;
-            }
+        if let Err(e) = ctx.check_budget("mc.chunk") {
+            interrupted = Some(e);
+            break;
         }
         let lo = totals.len();
         let hi = (lo + MC_CHECKPOINT_CHUNK).min(samples);
@@ -655,14 +511,14 @@ fn mc_totals_engine_with(
             }
             (period, energy, leak)
         });
-        if let Some(sink) = sink.as_mut() {
-            sink(&McChunk {
+        deliver(
+            McChunk {
                 start: lo,
-                totals: chunk.clone(),
+                totals: chunk,
                 restored: false,
-            });
-        }
-        totals.extend(chunk);
+            },
+            &mut totals,
+        );
         ctx.counter_add("mc.samples", (hi - lo) as u64);
         if let Some(path) = checkpoint_path {
             let cp = Checkpoint {
@@ -682,7 +538,33 @@ fn mc_totals_engine_with(
             let _ = std::fs::remove_file(path);
         }
     }
-    Ok((totals, interrupted))
+    // The pre-draw is the run's largest buffer (16 B per sample-stage):
+    // free it before the merge allocates the result vectors, so the two
+    // never coexist and peak memory stays at the population's size.
+    drop(draws);
+    Ok(McRunOutcome {
+        result: result_from_totals(ctx, universe, &totals),
+        completed_samples: totals.len(),
+        requested_samples: samples,
+        interrupted,
+    })
+}
+
+/// FNV identity of a sampling run: universe content, stage count, and
+/// sample count (the seed is carried separately in the checkpoint header).
+fn mc_universe_key(universe: &StageUniverse, samples: usize) -> u64 {
+    let mut h = KeyHasher::new();
+    h.write_str(MC_CHECKPOINT_KIND);
+    h.write_u64(universe.stages as u64);
+    h.write_u64(samples as u64);
+    for f in &universe.figures {
+        h.write_f64(f.delay_s);
+        h.write_f64(f.static_w);
+        h.write_f64(f.dynamic_w);
+        h.write_f64(f.energy_j);
+        h.write_f64(f.snm_v);
+    }
+    h.finish()
 }
 
 /// Merges per-sample totals into a [`MonteCarloResult`], walking samples in
@@ -835,19 +717,37 @@ mod tests {
     }
 
     #[test]
-    fn resumable_full_run_matches_plain_bit_for_bit() {
+    fn streamed_chunks_match_the_sink_free_run() {
         let universe = synthetic_universe();
         let ctx = ExecCtx::with_threads(2);
         let plain = monte_carlo_from_universe(&ctx, &universe, 700, 20080608);
-        let out = monte_carlo_from_universe_resumable(&ctx, &universe, 700, 20080608, None)
-            .expect("no checkpoint IO");
+        let mut streamed: Vec<(f64, f64, f64)> = Vec::new();
+        let out = monte_carlo_from_universe_resumable(
+            &ctx,
+            &universe,
+            700,
+            20080608,
+            None,
+            Some(&mut |c: &McChunk| {
+                assert_eq!(c.start, streamed.len(), "chunks arrive in sample order");
+                assert!(!c.restored);
+                streamed.extend_from_slice(&c.totals);
+            }),
+        )
+        .expect("no checkpoint IO");
         assert!(out.is_complete());
-        assert_eq!(plain.stalled_samples, out.result.stalled_samples);
-        for (a, b) in plain.frequency_hz.iter().zip(&out.result.frequency_hz) {
+        assert_eq!(streamed.len(), 700);
+        let functional: Vec<f64> = streamed
+            .iter()
+            .filter(|t| t.0.is_finite() && t.1.is_finite())
+            .map(|t| 1.0 / t.0)
+            .collect();
+        assert_eq!(functional.len(), plain.frequency_hz.len());
+        for (a, b) in functional.iter().zip(&plain.frequency_hz) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        for (a, b) in plain.static_w.iter().zip(&out.result.static_w) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        for (t, b) in streamed.iter().zip(&plain.static_w) {
+            assert_eq!(t.2.to_bits(), b.to_bits());
         }
     }
 
@@ -866,7 +766,7 @@ mod tests {
         let limits = ExecLimits::none().with_budget(Budget::unlimited().with_check_cap(1));
         let ctx = ExecCtx::serial().with_limits(limits);
         let partial =
-            monte_carlo_from_universe_resumable(&ctx, &universe, 700, 20080608, Some(&path))
+            monte_carlo_from_universe_resumable(&ctx, &universe, 700, 20080608, Some(&path), None)
                 .expect("checkpoint writes");
         assert!(partial.interrupted.is_some(), "budget should have tripped");
         assert_eq!(partial.completed_samples, MC_CHECKPOINT_CHUNK);
@@ -885,7 +785,7 @@ mod tests {
         // Resume on a differently-sized pool: bit-identical final summary.
         let ctx = ExecCtx::with_threads(4);
         let resumed =
-            monte_carlo_from_universe_resumable(&ctx, &universe, 700, 20080608, Some(&path))
+            monte_carlo_from_universe_resumable(&ctx, &universe, 700, 20080608, Some(&path), None)
                 .expect("resumes");
         assert!(resumed.is_complete());
         assert!(!path.exists(), "checkpoint removed on completion");
@@ -928,13 +828,14 @@ mod tests {
         let limits = gnr_num::budget::ExecLimits::none()
             .with_budget(gnr_num::budget::Budget::unlimited().with_check_cap(1));
         let bctx = ctx.with_limits(limits);
-        let partial = monte_carlo_from_universe_resumable(&bctx, &universe, 700, 1, Some(&path))
-            .expect("checkpoint writes");
+        let partial =
+            monte_carlo_from_universe_resumable(&bctx, &universe, 700, 1, Some(&path), None)
+                .expect("checkpoint writes");
         assert!(partial.interrupted.is_some());
         // ...then ask for seed 20080608: the stale file must be discarded
         // and the result must equal a from-scratch run.
         let resumed =
-            monte_carlo_from_universe_resumable(&ctx, &universe, 700, 20080608, Some(&path))
+            monte_carlo_from_universe_resumable(&ctx, &universe, 700, 20080608, Some(&path), None)
                 .expect("restarts");
         assert!(resumed.is_complete());
         let fresh = monte_carlo_from_universe(&ctx, &universe, 700, 20080608);

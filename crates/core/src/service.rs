@@ -41,8 +41,8 @@ use crate::contours::{design_space_map, DesignSpaceMap};
 use crate::devices::{DeviceLibrary, Fidelity};
 use crate::error::ExploreError;
 use crate::monte_carlo::{
-    characterize_stage_universe_resumable, monte_carlo_from_universe_resumable,
-    monte_carlo_from_universe_streaming, McChunk, McRunOutcome, StageUniverse,
+    characterize_stage_universe, monte_carlo_from_universe_resumable, McChunk, McRunOutcome,
+    StageUniverse,
 };
 use gnr_device::table::TableGrid;
 use gnr_device::{
@@ -320,6 +320,32 @@ impl CharacterizationService {
     /// [`ExploreError::Num`]) for characterization and contour jobs; an
     /// interrupted sweep is NOT an error (see [`McRunOutcome`]).
     pub fn submit(&mut self, request: JobRequest) -> Result<JobResponse, ExploreError> {
+        self.dispatch(request, None)
+    }
+
+    /// Runs one job like [`submit`](CharacterizationService::submit), with
+    /// streaming delivery for [`JobRequest::McSweep`]: `sink` receives every
+    /// completed chunk (restored prefix first on a resume) as soon as it
+    /// lands. Other job kinds emit nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`submit`](CharacterizationService::submit).
+    pub fn submit_streaming(
+        &mut self,
+        request: JobRequest,
+        sink: &mut dyn FnMut(&McChunk),
+    ) -> Result<JobResponse, ExploreError> {
+        self.dispatch(request, Some(sink))
+    }
+
+    /// The one job dispatch behind [`submit`](CharacterizationService::submit)
+    /// and [`submit_streaming`](CharacterizationService::submit_streaming).
+    fn dispatch(
+        &mut self,
+        request: JobRequest,
+        sink: Option<&mut dyn FnMut(&McChunk)>,
+    ) -> Result<JobResponse, ExploreError> {
         let output = match request {
             JobRequest::Characterize { vdd, stages } => {
                 JobOutput::Universe(self.universe(vdd, stages)?)
@@ -338,6 +364,7 @@ impl CharacterizationService {
                     samples,
                     seed,
                     checkpoint.as_deref(),
+                    sink,
                 )?)
             }
             JobRequest::EdpContour {
@@ -407,41 +434,6 @@ impl CharacterizationService {
         })?)
     }
 
-    /// Runs an [`JobRequest::McSweep`] job with streaming delivery:
-    /// `sink` receives every completed chunk (restored prefix first on a
-    /// resume) as soon as it lands. Non-sweep requests run exactly as
-    /// [`submit`](CharacterizationService::submit) and emit nothing.
-    ///
-    /// # Errors
-    ///
-    /// As [`submit`](CharacterizationService::submit).
-    pub fn submit_streaming(
-        &mut self,
-        request: JobRequest,
-        sink: &mut dyn FnMut(&McChunk),
-    ) -> Result<JobResponse, ExploreError> {
-        let JobRequest::McSweep {
-            vdd,
-            stages,
-            samples,
-            seed,
-            checkpoint,
-        } = request
-        else {
-            return self.submit(request);
-        };
-        let universe = self.universe(vdd, stages)?;
-        let outcome = monte_carlo_from_universe_streaming(
-            &self.ctx,
-            &universe,
-            samples,
-            seed,
-            checkpoint.as_deref(),
-            sink,
-        )?;
-        Ok(self.respond(JobOutput::McSweep(outcome)))
-    }
-
     /// The memoized universe for `(vdd, stages)`, characterizing on miss.
     fn universe(&mut self, vdd: f64, stages: usize) -> Result<Arc<StageUniverse>, ExploreError> {
         let key = {
@@ -455,7 +447,7 @@ impl CharacterizationService {
         if let Some(u) = self.universes.get(&key) {
             return Ok(Arc::clone(u));
         }
-        let universe = Arc::new(characterize_stage_universe_resumable(
+        let universe = Arc::new(characterize_stage_universe(
             &self.ctx,
             &mut self.lib,
             vdd,

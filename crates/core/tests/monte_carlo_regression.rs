@@ -4,9 +4,7 @@
 
 use gnr_num::par::ExecCtx;
 use gnrfet_explore::devices::{DeviceLibrary, Fidelity};
-use gnrfet_explore::monte_carlo::{
-    characterize_stage_universe, monte_carlo_from_universe, ring_oscillator_monte_carlo,
-};
+use gnrfet_explore::monte_carlo::{characterize_stage_universe, monte_carlo_from_universe};
 
 /// Two consecutive runs with the same seed produce bit-identical sample
 /// vectors — the acceptance criterion for deterministic Monte Carlo.
@@ -14,7 +12,8 @@ use gnrfet_explore::monte_carlo::{
 fn fixed_seed_is_bit_reproducible() {
     let ctx = ExecCtx::serial();
     let mut lib = DeviceLibrary::new(Fidelity::Fast);
-    let universe = characterize_stage_universe(&ctx, &mut lib, 0.4, 15).expect("characterizes");
+    let universe =
+        characterize_stage_universe(&ctx, &mut lib, 0.4, 15, None).expect("characterizes");
     let a = monte_carlo_from_universe(&ctx, &universe, 2000, 20080608);
     let b = monte_carlo_from_universe(&ctx, &universe, 2000, 20080608);
     assert_eq!(a.frequency_hz.len(), b.frequency_hz.len());
@@ -46,8 +45,9 @@ fn fixed_seed_is_bit_reproducible() {
 #[test]
 fn width_variation_statistics_pinned() {
     let mut lib = DeviceLibrary::new(Fidelity::Fast);
-    let mc = ring_oscillator_monte_carlo(&ExecCtx::serial(), &mut lib, 0.4, 15, 2000, 20080608)
-        .expect("runs");
+    let ctx = ExecCtx::serial();
+    let universe = characterize_stage_universe(&ctx, &mut lib, 0.4, 15, None).expect("runs");
+    let mc = monte_carlo_from_universe(&ctx, &universe, 2000, 20080608);
     let kept = mc.frequency_hz.len();
     assert!(mc.stalled_samples + kept == 2000);
     // The functional yield for this seed is exactly 1470/2000 — the draw

@@ -119,27 +119,6 @@ impl Lead {
             }
         }
     }
-
-    /// Deprecated alias of [`Lead::self_energy`], kept for one release:
-    /// the base method now takes the execution limits directly.
-    ///
-    /// # Errors
-    ///
-    /// As [`Lead::self_energy`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `self_energy` — it takes the limits directly"
-    )]
-    pub fn self_energy_limited(
-        &self,
-        e: f64,
-        h00: &CMatrix,
-        h01: &CMatrix,
-        tau: &CMatrix,
-        limits: &ExecLimits,
-    ) -> Result<CMatrix, NegfError> {
-        self.self_energy(e, h00, h01, tau, limits)
-    }
 }
 
 /// Surface Green's function of a semi-infinite periodic lead growing in the
@@ -210,27 +189,6 @@ pub fn surface_gf(
     })
 }
 
-/// Deprecated alias of [`surface_gf`], kept for one release: the base
-/// function now takes the execution limits directly.
-///
-/// # Errors
-///
-/// As [`surface_gf`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `surface_gf` — it takes the limits directly"
-)]
-pub fn surface_gf_limited(
-    e: f64,
-    h00: &CMatrix,
-    h01: &CMatrix,
-    eta: f64,
-    max_iter: usize,
-    limits: &ExecLimits,
-) -> Result<CMatrix, NegfError> {
-    surface_gf(e, h00, h01, eta, max_iter, limits)
-}
-
 /// Broadening matrix `Γ = i(Σ − Σ†)` of a contact self-energy.
 pub fn broadening(sigma: &CMatrix) -> CMatrix {
     let d = sigma - &sigma.adjoint();
@@ -286,7 +244,7 @@ mod tests {
     }
 
     #[test]
-    fn surface_gf_limited_stops_on_exhausted_budget() {
+    fn surface_gf_stops_on_exhausted_budget() {
         use gnr_num::budget::Budget;
         let (h00, h01) = chain_blocks(1.0);
         // Two decimation doublings are nowhere near convergence at E = 0;
@@ -297,16 +255,6 @@ mod tests {
             err.to_string().contains("budget"),
             "expected budget stop, got: {err}"
         );
-        // The deprecated shim reproduces the base call bit for bit.
-        let plain = surface_gf(0.5, &h00, &h01, 1e-6, 400, &ExecLimits::none())
-            .unwrap()
-            .get(0, 0);
-        #[allow(deprecated)]
-        let limited = surface_gf_limited(0.5, &h00, &h01, 1e-6, 400, &ExecLimits::none())
-            .unwrap()
-            .get(0, 0);
-        assert_eq!(plain.re.to_bits(), limited.re.to_bits());
-        assert_eq!(plain.im.to_bits(), limited.im.to_bits());
     }
 
     #[test]

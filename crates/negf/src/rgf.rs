@@ -255,26 +255,6 @@ impl RgfSolver {
         Ok((sigma1, sigma2))
     }
 
-    /// Deprecated alias of [`Self::cached_self_energies`], kept for one
-    /// release: the base method now takes the execution limits directly.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::cached_self_energies`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `cached_self_energies` — it takes the limits directly"
-    )]
-    pub fn cached_self_energies_limited(
-        &self,
-        cache: &SurfaceGfCache,
-        e: f64,
-        shard: &mut TelemetryShard,
-        limits: &ExecLimits,
-    ) -> Result<(CMatrix, CMatrix), NegfError> {
-        self.cached_self_energies(cache, e, shard, limits)
-    }
-
     /// Serial pre-indexing pass for the determinism contract: collects the
     /// not-yet-cached `(slot, key)` pairs for `energies` in a fixed
     /// slot-major, energy-ascending order, solves them on `ctx`'s pool
@@ -345,24 +325,6 @@ impl RgfSolver {
         self.spectral_slice_with_sigmas(e, &sigma1, &sigma2)
     }
 
-    /// Deprecated alias of [`Self::spectral_slice`], kept for one release:
-    /// the base method now takes the execution limits directly.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::spectral_slice`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `spectral_slice` — it takes the limits directly"
-    )]
-    pub fn spectral_slice_limited(
-        &self,
-        e: f64,
-        limits: &ExecLimits,
-    ) -> Result<SpectralSlice, NegfError> {
-        self.spectral_slice(e, limits)
-    }
-
     /// [`Self::spectral_slice`] with the contact self-energies served
     /// through `cache` instead of fresh Sancho–Rubio solves. The RGF sweeps
     /// themselves are byte-identical to the legacy path; only Σ provenance
@@ -381,26 +343,6 @@ impl RgfSolver {
     ) -> Result<SpectralSlice, NegfError> {
         let (sigma1, sigma2) = self.cached_self_energies(cache, e, shard, limits)?;
         self.spectral_slice_with_sigmas(e, &sigma1, &sigma2)
-    }
-
-    /// Deprecated alias of [`Self::spectral_slice_cached`], kept for one
-    /// release: the base method now takes the execution limits directly.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::spectral_slice_cached`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `spectral_slice_cached` — it takes the limits directly"
-    )]
-    pub fn spectral_slice_cached_limited(
-        &self,
-        e: f64,
-        cache: &SurfaceGfCache,
-        shard: &mut TelemetryShard,
-        limits: &ExecLimits,
-    ) -> Result<SpectralSlice, NegfError> {
-        self.spectral_slice_cached(e, cache, shard, limits)
     }
 
     fn spectral_slice_with_sigmas(

@@ -311,6 +311,9 @@ mod tests {
     use crate::fault::FaultPlan;
     use std::sync::{Mutex as TestMutex, OnceLock};
 
+    /// Serializes every test that calls `load`: the fault plan is
+    /// process-global, so a `load` running beside the armed
+    /// `checkpoint.corrupt` test would be discarded as injected.
     fn lock() -> std::sync::MutexGuard<'static, ()> {
         static GUARD: OnceLock<TestMutex<()>> = OnceLock::new();
         GUARD
@@ -362,6 +365,7 @@ mod tests {
 
     #[test]
     fn save_load_resume_and_fresh() {
+        let _g = lock();
         let path = tmp_path("save-load");
         let _ = std::fs::remove_file(&path);
         let cp = sample();
@@ -382,6 +386,7 @@ mod tests {
 
     #[test]
     fn mismatched_identity_is_discarded_and_deleted() {
+        let _g = lock();
         let path = tmp_path("mismatch");
         let cp = sample();
         save(&path, &cp).expect("saves");
@@ -398,6 +403,7 @@ mod tests {
 
     #[test]
     fn tampered_payload_fails_the_checksum() {
+        let _g = lock();
         let path = tmp_path("tamper");
         let cp = sample();
         save(&path, &cp).expect("saves");

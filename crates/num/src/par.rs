@@ -264,8 +264,7 @@ impl ExecCtx {
         }
     }
 
-    /// Serial context with the default [`RecoveryPolicy::Ladder`]: the
-    /// target of the deprecated `_with_recovery`/`_logged` shims.
+    /// Serial context with the default [`RecoveryPolicy::Ladder`].
     pub fn serial() -> Self {
         ExecCtx::new(ThreadPool::serial(), RecoveryPolicy::Ladder)
     }

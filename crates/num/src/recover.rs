@@ -481,23 +481,6 @@ pub fn solve_linear_robust(
     }
 }
 
-/// Deprecated alias of [`solve_linear_robust`], kept for one release: the
-/// base function now takes the execution limits directly.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `solve_linear_robust` — it takes the limits directly"
-)]
-pub fn solve_linear_robust_limited(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: &[f64],
-    ctrl: IterControl,
-    symmetric: bool,
-    limits: &ExecLimits,
-) -> (NumResult<(Vec<f64>, SolveStats)>, SolveReport) {
-    solve_linear_robust(a, b, x0, ctrl, symmetric, limits)
-}
-
 fn sparse_lu_attempt(
     a: &CsrMatrix,
     b: &[f64],
@@ -685,7 +668,7 @@ mod tests {
     }
 
     #[test]
-    fn robust_solve_limited_stops_on_exhausted_budget() {
+    fn robust_solve_stops_on_exhausted_budget() {
         use crate::budget::Budget;
         let n = 40;
         let a = laplacian_1d(n);

@@ -235,21 +235,6 @@ impl PoissonProblem {
         }
         Ok(PoissonSolution::new(self.grid, potential, stats.iterations))
     }
-
-    /// Deprecated alias of [`PoissonProblem::solve`], kept for one release:
-    /// the base method now takes the execution limits directly.
-    ///
-    /// # Errors
-    ///
-    /// As [`PoissonProblem::solve`].
-    #[deprecated(since = "0.1.0", note = "use `solve` — it takes the limits directly")]
-    pub fn solve_limited(
-        &self,
-        warm_start: Option<&[f64]>,
-        limits: &ExecLimits,
-    ) -> Result<PoissonSolution, PoissonError> {
-        self.solve(warm_start, limits)
-    }
 }
 
 #[cfg(test)]
@@ -368,7 +353,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_limited_stops_on_exhausted_budget() {
+    fn solve_stops_on_exhausted_budget() {
         use gnr_num::budget::Budget;
         use gnr_num::NumError;
         let grid = Grid3::new(11, 3, 3, 0.5).unwrap();
@@ -382,11 +367,6 @@ mod tests {
             }
             other => panic!("expected budget exhaustion, got {other:?}"),
         }
-        // Unlimited solve_limited matches the plain path bit-for-bit.
-        let plain = p.solve(None, &ExecLimits::none()).unwrap();
-        #[allow(deprecated)]
-        let limited = p.solve_limited(None, &ExecLimits::none()).unwrap();
-        assert_eq!(plain.raw(), limited.raw());
     }
 
     #[test]

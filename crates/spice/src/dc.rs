@@ -186,25 +186,6 @@ pub fn dc_operating_point(
     }
 }
 
-/// Deprecated alias of [`dc_operating_point`], kept for one release: the
-/// base function now takes the execution limits directly.
-///
-/// # Errors
-///
-/// As [`dc_operating_point`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `dc_operating_point` — it takes the limits directly"
-)]
-pub fn dc_operating_point_limited(
-    circuit: &Circuit,
-    x0: Option<&[f64]>,
-    opts: DcOptions,
-    limits: &ExecLimits,
-) -> Result<Vec<f64>, SpiceError> {
-    dc_operating_point(circuit, x0, opts, limits)
-}
-
 /// Solves the operating point by ramping every voltage source up from a
 /// fraction of its `t = 0` value, warm-starting each ramp step with the
 /// previous solution. This is the classic homotopy for circuits whose
@@ -610,7 +591,7 @@ mod tests {
     }
 
     #[test]
-    fn dc_limited_stops_on_exhausted_budget() {
+    fn dc_stops_on_exhausted_budget() {
         use gnr_num::budget::Budget;
         use gnr_num::NumError;
         let mut c = Circuit::new();
@@ -631,12 +612,6 @@ mod tests {
             matches!(err, SpiceError::Linear(NumError::BudgetExhausted { .. })),
             "got {err:?}"
         );
-        // Unlimited limited variant matches the plain path bit-for-bit.
-        let plain =
-            dc_operating_point(&c, None, DcOptions::default(), &ExecLimits::none()).unwrap();
-        let limited =
-            dc_operating_point(&c, None, DcOptions::default(), &ExecLimits::none()).unwrap();
-        assert_eq!(plain, limited);
     }
 
     #[test]

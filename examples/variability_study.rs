@@ -8,7 +8,7 @@
 
 use gnrlab::explore::devices::{ArrayScenario, DeviceLibrary, DeviceVariant, Fidelity};
 use gnrlab::explore::latch::latch_study;
-use gnrlab::explore::monte_carlo::ring_oscillator_monte_carlo;
+use gnrlab::explore::monte_carlo::{characterize_stage_universe, monte_carlo_from_universe};
 use gnrlab::explore::variability::{inverter_figures, Metric, VariabilityTable};
 use gnrlab::num::par::ExecCtx;
 
@@ -73,7 +73,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Monte Carlo ring oscillator (Fig. 6 in miniature) ---
     println!("Monte Carlo (1000 samples, 15-stage ring oscillator) ...");
-    let mc = ring_oscillator_monte_carlo(&ctx, &mut lib, vdd, 15, 1000, 42)?;
+    let universe = characterize_stage_universe(&ctx, &mut lib, vdd, 15, None)?;
+    let mc = monte_carlo_from_universe(&ctx, &universe, 1000, 42);
     if mc.stalled_samples > 0 {
         println!(
             "  {} of 1000 rings stalled (non-functional stage drawn)",

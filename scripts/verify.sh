@@ -6,7 +6,8 @@
 # unmodified.
 #
 # Usage: scripts/verify.sh [--tier N] [--skip-lint]
-#   --tier 1     build + full test suite (both thread counts)
+#   --tier 1     build (workspace + flowbench) + full test suite (both
+#                thread counts)
 #   --tier 2     tier 1 plus the fault-injection suite, scaling ablation,
 #                and lints (fmt + clippy -D warnings)
 #   --skip-lint  omit the fmt/clippy steps (CI runs them in a dedicated
@@ -47,6 +48,12 @@ esac
 
 echo "== tier-1: cargo build --release (offline) =="
 cargo build --release --offline
+
+# flowbench (the end-to-end benchmark) has its own [workspace], so the
+# build above does not compile it; a public-API change it depends on
+# would otherwise only surface when the benchmark runs.
+echo "== tier-1: cargo build flowbench (offline) =="
+cargo build --release --offline --manifest-path flowbench/Cargo.toml
 
 echo "== tier-1: cargo test -q (offline, whole workspace, GNR_THREADS=1) =="
 GNR_THREADS=1 cargo test --workspace -q --offline

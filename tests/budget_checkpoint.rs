@@ -16,6 +16,7 @@ use gnrlab::explore::monte_carlo::{
     characterize_stage_universe, monte_carlo_from_universe, monte_carlo_from_universe_resumable,
     MonteCarloResult, StageUniverse, MC_CHECKPOINT_CHUNK,
 };
+use gnrlab::explore::ExploreError;
 use gnrlab::num::budget::{Budget, CancelToken, ExecLimits};
 use gnrlab::num::fault::{self, FaultPlan};
 use gnrlab::num::par::ExecCtx;
@@ -40,7 +41,7 @@ fn universe() -> &'static StageUniverse {
     static UNIVERSE: OnceLock<StageUniverse> = OnceLock::new();
     UNIVERSE.get_or_init(|| {
         let mut lib = DeviceLibrary::new(Fidelity::Fast);
-        characterize_stage_universe(&ExecCtx::serial(), &mut lib, 0.4, 15)
+        characterize_stage_universe(&ExecCtx::serial(), &mut lib, 0.4, 15, None)
             .expect("universe characterizes")
     })
 }
@@ -93,9 +94,15 @@ fn cancelled_mc_resumes_bit_identically_on_serial_and_parallel_pools() {
         // Three budget checks pass, the fourth trips: three chunks (768
         // samples) land in the checkpoint.
         let ctx = ExecCtx::with_threads(threads).with_limits(check_capped(3));
-        let partial =
-            monte_carlo_from_universe_resumable(&ctx, universe(), MC_SAMPLES, MC_SEED, Some(&path))
-                .expect("interrupted run still returns partial statistics");
+        let partial = monte_carlo_from_universe_resumable(
+            &ctx,
+            universe(),
+            MC_SAMPLES,
+            MC_SEED,
+            Some(&path),
+            None,
+        )
+        .expect("interrupted run still returns partial statistics");
         assert!(!partial.is_complete());
         assert_eq!(partial.completed_samples, 3 * MC_CHECKPOINT_CHUNK);
         assert!(
@@ -109,9 +116,15 @@ fn cancelled_mc_resumes_bit_identically_on_serial_and_parallel_pools() {
         // the merged summary matches the uninterrupted baseline bit for
         // bit — including the fault-log pins.
         let ctx = ExecCtx::with_threads(threads);
-        let resumed =
-            monte_carlo_from_universe_resumable(&ctx, universe(), MC_SAMPLES, MC_SEED, Some(&path))
-                .expect("resume completes");
+        let resumed = monte_carlo_from_universe_resumable(
+            &ctx,
+            universe(),
+            MC_SAMPLES,
+            MC_SEED,
+            Some(&path),
+            None,
+        )
+        .expect("resume completes");
         assert!(resumed.is_complete());
         assert_eq!(resumed.completed_samples, MC_SAMPLES);
         assert!(!path.exists(), "finished run must remove its checkpoint");
@@ -135,8 +148,9 @@ fn exhausted_budget_reports_partial_statistics() {
     fault::disarm();
     let baseline = monte_carlo_from_universe(&ExecCtx::serial(), universe(), MC_SAMPLES, MC_SEED);
     let ctx = ExecCtx::serial().with_limits(check_capped(2));
-    let partial = monte_carlo_from_universe_resumable(&ctx, universe(), MC_SAMPLES, MC_SEED, None)
-        .expect("partial statistics");
+    let partial =
+        monte_carlo_from_universe_resumable(&ctx, universe(), MC_SAMPLES, MC_SEED, None, None)
+            .expect("partial statistics");
     assert_eq!(partial.completed_samples, 2 * MC_CHECKPOINT_CHUNK);
     assert_eq!(partial.requested_samples, MC_SAMPLES);
     let err = partial.interrupted.expect("typed stop");
@@ -157,6 +171,64 @@ fn exhausted_budget_reports_partial_statistics() {
     }
 }
 
+/// The plain entry points honor the budget too. Characterization stops
+/// with a typed `BudgetExhausted` at a cell-chunk boundary, and its
+/// checkpoint resumes to the uninterrupted universe; the sampling wrapper
+/// returns the completed sample prefix.
+#[test]
+fn plain_entry_points_stop_at_chunk_boundaries() {
+    let _g = suite_lock();
+    fault::disarm();
+    let mut lib = DeviceLibrary::new(Fidelity::Fast);
+    // Count the checks a full characterization spends: the 81 cells take
+    // three chunk probes after the nominal-reference solves.
+    let counting = ExecLimits::none().with_budget(Budget::unlimited().with_check_cap(u64::MAX));
+    let full = characterize_stage_universe(
+        &ExecCtx::serial().with_limits(counting.clone()),
+        &mut lib,
+        0.4,
+        15,
+        None,
+    )
+    .expect("uncapped characterization completes");
+    assert_eq!(format!("{full:?}"), format!("{:?}", universe()));
+    let spent = counting.checks_spent();
+    assert!(spent >= 3, "three chunk probes at least, got {spent}");
+
+    // Allow every check up to and including the first chunk probe: the
+    // second chunk probe trips, leaving one chunk in the checkpoint.
+    let path = checkpoint_path("characterize");
+    let _ = std::fs::remove_file(&path);
+    let ctx = ExecCtx::serial().with_limits(check_capped(spent - 2));
+    match characterize_stage_universe(&ctx, &mut lib, 0.4, 15, Some(&path)) {
+        Err(ExploreError::Num(NumError::BudgetExhausted { site })) => {
+            assert_eq!(site, "characterize.chunk");
+        }
+        other => panic!("expected a chunk-boundary budget stop, got {other:?}"),
+    }
+    assert!(path.exists(), "the completed chunk is checkpointed");
+    let resumed = characterize_stage_universe(&ExecCtx::serial(), &mut lib, 0.4, 15, Some(&path))
+        .expect("resume completes");
+    assert!(!path.exists(), "finished run must remove its checkpoint");
+    assert_eq!(format!("{resumed:?}"), format!("{:?}", universe()));
+
+    // Two sample chunks pass, the third probe trips: the wrapper returns
+    // exactly the first 512 samples, bit for bit.
+    let baseline = monte_carlo_from_universe(&ExecCtx::serial(), universe(), MC_SAMPLES, MC_SEED);
+    let ctx = ExecCtx::serial().with_limits(check_capped(2));
+    let partial = monte_carlo_from_universe(&ctx, universe(), MC_SAMPLES, MC_SEED);
+    assert_eq!(
+        partial.frequency_hz.len() + partial.stalled_samples,
+        2 * MC_CHECKPOINT_CHUNK
+    );
+    for (x, y) in partial.frequency_hz.iter().zip(&baseline.frequency_hz) {
+        assert_eq!(x.to_bits(), y.to_bits());
+    }
+    for (x, y) in partial.static_w.iter().zip(&baseline.static_w) {
+        assert_eq!(x.to_bits(), y.to_bits());
+    }
+}
+
 /// A cancel token trips the very first budget probe: zero samples, typed
 /// `Cancelled`, no checkpoint file left behind.
 #[test]
@@ -168,9 +240,15 @@ fn cancel_token_stops_before_the_first_chunk() {
     let token = CancelToken::new();
     token.cancel();
     let ctx = ExecCtx::serial().with_limits(ExecLimits::none().with_cancel(token));
-    let outcome =
-        monte_carlo_from_universe_resumable(&ctx, universe(), MC_SAMPLES, MC_SEED, Some(&path))
-            .expect("cancelled run still returns");
+    let outcome = monte_carlo_from_universe_resumable(
+        &ctx,
+        universe(),
+        MC_SAMPLES,
+        MC_SEED,
+        Some(&path),
+        None,
+    )
+    .expect("cancelled run still returns");
     assert_eq!(outcome.completed_samples, 0);
     assert!(
         matches!(outcome.interrupted, Some(NumError::Cancelled { .. })),
@@ -192,9 +270,15 @@ fn corrupt_checkpoint_is_discarded_and_run_restarts_clean() {
     let _ = std::fs::remove_file(&path);
     // Leave a genuine partial checkpoint on disk...
     let ctx = ExecCtx::serial().with_limits(check_capped(1));
-    let partial =
-        monte_carlo_from_universe_resumable(&ctx, universe(), MC_SAMPLES, MC_SEED, Some(&path))
-            .expect("partial run");
+    let partial = monte_carlo_from_universe_resumable(
+        &ctx,
+        universe(),
+        MC_SAMPLES,
+        MC_SEED,
+        Some(&path),
+        None,
+    )
+    .expect("partial run");
     assert_eq!(partial.completed_samples, MC_CHECKPOINT_CHUNK);
     assert!(path.exists());
     // ...then resume with the corrupt-read fault armed: the load must
@@ -208,6 +292,7 @@ fn corrupt_checkpoint_is_discarded_and_run_restarts_clean() {
         MC_SAMPLES,
         MC_SEED,
         Some(&path),
+        None,
     );
     let snap = telemetry::snapshot();
     let injected = fault::injection_count("checkpoint.corrupt");

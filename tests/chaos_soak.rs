@@ -34,7 +34,7 @@ fn universe() -> &'static StageUniverse {
     UNIVERSE.get_or_init(|| {
         fault::disarm();
         let mut lib = DeviceLibrary::new(Fidelity::Fast);
-        characterize_stage_universe(&ExecCtx::serial(), &mut lib, 0.4, 15)
+        characterize_stage_universe(&ExecCtx::serial(), &mut lib, 0.4, 15, None)
             .expect("fault-free universe characterizes")
     })
 }
@@ -149,7 +149,7 @@ fn soak_site(site: &'static str) -> Vec<String> {
         .with_limits(ExecLimits::none().with_budget(Budget::unlimited().with_check_cap(1)));
     note(
         "mc-interrupt",
-        monte_carlo_from_universe_resumable(&capped, universe(), 600, 20080608, Some(&path))
+        monte_carlo_from_universe_resumable(&capped, universe(), 600, 20080608, Some(&path), None)
             .map(|o| format!("{}/{} samples", o.completed_samples, o.requested_samples))
             .map_err(|e| e.to_string()),
     );
@@ -161,6 +161,7 @@ fn soak_site(site: &'static str) -> Vec<String> {
             600,
             20080608,
             Some(&path),
+            None,
         )
         .map(|o| format!("complete = {}", o.is_complete()))
         .map_err(|e| e.to_string()),
@@ -174,7 +175,7 @@ fn soak_site(site: &'static str) -> Vec<String> {
         let mut lib = DeviceLibrary::new(Fidelity::Fast);
         note(
             "characterize",
-            characterize_stage_universe(&ExecCtx::serial(), &mut lib, 0.4, 15)
+            characterize_stage_universe(&ExecCtx::serial(), &mut lib, 0.4, 15, None)
                 .map(|_| "universe built".to_string())
                 .map_err(|e| e.to_string()),
         );

@@ -15,9 +15,7 @@
 use gnrlab::device::scf::ScfOptions;
 use gnrlab::device::{DeviceConfig, ScfSolver};
 use gnrlab::explore::devices::{DeviceLibrary, Fidelity};
-use gnrlab::explore::monte_carlo::{
-    characterize_stage_universe, monte_carlo_from_universe, ring_oscillator_monte_carlo,
-};
+use gnrlab::explore::monte_carlo::{characterize_stage_universe, monte_carlo_from_universe};
 use gnrlab::num::budget::{Budget, ExecLimits};
 use gnrlab::num::fault::{self, FaultPlan};
 use gnrlab::num::par::ExecCtx;
@@ -493,8 +491,8 @@ fn monte_carlo_200_samples_completes_under_injection_and_logs_every_fault() {
     let _armed = ArmedPlan::arm(FaultPlan::seeded(20080608).with_site("characterize", 0.15));
     let mut lib = DeviceLibrary::new(Fidelity::Fast);
     let ctx = ExecCtx::serial();
-    let mc =
-        ring_oscillator_monte_carlo(&ctx, &mut lib, 0.4, 15, 200, 20080608).expect("completes");
+    let universe = characterize_stage_universe(&ctx, &mut lib, 0.4, 15, None).expect("completes");
+    let mc = monte_carlo_from_universe(&ctx, &universe, 200, 20080608);
     let log = ctx.faults().take();
     let injected = fault::injection_count("characterize");
     assert!(injected > 0, "p = 0.15 over 81 cells must fire");
@@ -525,7 +523,7 @@ fn monte_carlo_disarmed_logged_run_is_bit_identical_to_plain() {
     let mut lib = DeviceLibrary::new(Fidelity::Fast);
     let plain_ctx = ExecCtx::serial();
     let universe =
-        characterize_stage_universe(&plain_ctx, &mut lib, 0.4, 15).expect("characterizes");
+        characterize_stage_universe(&plain_ctx, &mut lib, 0.4, 15, None).expect("characterizes");
     let plain = monte_carlo_from_universe(&plain_ctx, &universe, 200, 20080608);
     let logged_ctx = ExecCtx::serial();
     let logged = monte_carlo_from_universe(&logged_ctx, &universe, 200, 20080608);

@@ -26,7 +26,8 @@ fn monte_carlo_pinned_result_is_pool_invariant() {
     let mut runs = Vec::new();
     for ctx in pools() {
         let mut lib = DeviceLibrary::new(Fidelity::Fast);
-        let universe = characterize_stage_universe(&ctx, &mut lib, 0.4, 15).expect("characterizes");
+        let universe =
+            characterize_stage_universe(&ctx, &mut lib, 0.4, 15, None).expect("characterizes");
         let mc = monte_carlo_from_universe(&ctx, &universe, 2000, 20080608);
         runs.push(mc);
     }

@@ -61,7 +61,7 @@ fn universe() -> &'static StageUniverse {
     static UNIVERSE: OnceLock<StageUniverse> = OnceLock::new();
     UNIVERSE.get_or_init(|| {
         let mut lib = DeviceLibrary::new(Fidelity::Fast);
-        characterize_stage_universe(&ExecCtx::serial(), &mut lib, 0.4, 15)
+        characterize_stage_universe(&ExecCtx::serial(), &mut lib, 0.4, 15, None)
             .expect("universe characterizes")
     })
 }

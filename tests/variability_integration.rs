@@ -2,7 +2,7 @@
 //! the paper's Tables 2-4 claims, measured end-to-end at reduced fidelity.
 
 use gnrlab::explore::devices::{ArrayScenario, DeviceLibrary, DeviceVariant, Fidelity};
-use gnrlab::explore::monte_carlo::ring_oscillator_monte_carlo;
+use gnrlab::explore::monte_carlo::{characterize_stage_universe, monte_carlo_from_universe};
 use gnrlab::explore::variability::{inverter_figures, variability_table, Metric};
 use gnrlab::num::par::ExecCtx;
 use std::sync::{Mutex, OnceLock};
@@ -143,7 +143,9 @@ fn single_gnr_effects_are_weaker_than_all_gnr() {
 #[test]
 fn monte_carlo_reproduces_fig6_directions() {
     let mut lib = lib().lock().unwrap();
-    let mc = ring_oscillator_monte_carlo(&ExecCtx::serial(), &mut lib, 0.4, 15, 400, 7).unwrap();
+    let ctx = ExecCtx::serial();
+    let universe = characterize_stage_universe(&ctx, &mut lib, 0.4, 15, None).unwrap();
+    let mc = monte_carlo_from_universe(&ctx, &universe, 400, 7);
     // Paper Fig. 6: mean frequency drops, mean static power rises —
     // variations degrade more than they improve.
     let f = mc.frequency_summary().unwrap();
