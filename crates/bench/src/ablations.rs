@@ -11,6 +11,7 @@ use gnr_negf::{Lead, RgfSolver};
 use gnr_num::budget::ExecLimits;
 use gnr_num::par::{ExecCtx, ThreadPool};
 use gnr_num::{c64, CMatrix};
+use gnr_spice::measure::fo4_metrics_for_cell;
 use std::hint::black_box;
 
 const SUITE: &str = "ablations";
@@ -544,6 +545,16 @@ fn circuit_zoo(h: &mut Harness) {
     }
 }
 
+/// One nominal FO4 measurement (static-power DC solves plus a 6000-step
+/// backward-Euler transient on the 9-unknown bench): the transient-step
+/// layer that dominates the design-space contours and MC characterization.
+fn fo4_transient(h: &mut Harness) {
+    let (cell, vdd) = crate::circuit_kernels::nominal_cell();
+    h.bench(SUITE, "fo4_transient", || {
+        black_box(fo4_metrics_for_cell(&cell, black_box(vdd)).expect("measures"))
+    });
+}
+
 pub fn register(h: &mut Harness) {
     rgf_vs_dense(h);
     table_vs_model(h);
@@ -556,4 +567,5 @@ pub fn register(h: &mut Harness) {
     table_cache(h);
     sparse_mna(h);
     circuit_zoo(h);
+    fo4_transient(h);
 }

@@ -14,7 +14,9 @@ use std::hint::black_box;
 
 const SUITE: &str = "circuit";
 
-fn nominal_cell() -> (InverterCell, f64) {
+/// The nominal Fast-fidelity (21-point table) inverter at its 0.4 V
+/// minimum-leakage offset, shared with the `ablations/fo4_transient` bench.
+pub(crate) fn nominal_cell() -> (InverterCell, f64) {
     let cfg = DeviceConfig::test_small(12).expect("valid");
     let model = SbfetModel::new(&cfg).expect("builds");
     let vmin = model.minimum_leakage_vg(0.4).expect("minimum");
@@ -72,5 +74,13 @@ pub fn register(h: &mut Harness) {
             t.gm(0.31, 0.22),
             t.gds(0.31, 0.22),
         ))
+    });
+    // The fused forms the transient step uses: one table-cell search for
+    // all three I-V values, one for both capacitances.
+    h.bench(SUITE, "table_lookup_iv_eval", || {
+        black_box(cell.nfet.iv_eval(black_box(0.31), black_box(0.22)))
+    });
+    h.bench(SUITE, "table_lookup_caps_intrinsic", || {
+        black_box(cell.nfet.caps_intrinsic(black_box(0.31), black_box(0.22)))
     });
 }

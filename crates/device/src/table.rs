@@ -419,32 +419,55 @@ impl DeviceTable {
         sign * self.id_a.eval(vg, vd)
     }
 
+    /// `(I_D, g_m, g_ds)` at the external bias `(v_gs, v_ds)` from one
+    /// table-cell search — what the circuit Newton loop stamps for every
+    /// FET on every iteration. [`current`](Self::current),
+    /// [`gm`](Self::gm) and [`gds`](Self::gds) return the same bits.
+    pub fn iv_eval(&self, v_gs: f64, v_ds: f64) -> (f64, f64, f64) {
+        let (vg, vd, sign, swapped) = self.map_bias_swap(v_gs, v_ds);
+        let (id, d_vg, d_vd) = self.id_a.eval_with_derivs(vg, vd);
+        (
+            sign * id,
+            self.gm_from(sign, d_vg),
+            Self::gds_from(swapped, d_vg, d_vd),
+        )
+    }
+
+    /// Transconductance from the internal gate-axis slope: dI/dVgs
+    /// external = sign * dI/dvg * dvg/dVgs.
+    fn gm_from(&self, sign: f64, d_vg: f64) -> f64 {
+        let chain = match self.polarity {
+            Polarity::NType => 1.0,
+            Polarity::PType => -1.0,
+        };
+        d_vg * (sign * chain)
+    }
+
+    /// Output conductance from the internal slopes. Unswapped: both sign
+    /// flips (current and axis) cancel, leaving ∂/∂vd. Swapped: the
+    /// exchange substitutes vg' = vg - vd, so the external V_DS derivative
+    /// picks up the gate-axis term as well — dropping it makes the Newton
+    /// Jacobian inconsistent exactly where series-stack internal nodes
+    /// land mid-iteration.
+    fn gds_from(swapped: bool, d_vg: f64, d_vd: f64) -> f64 {
+        if swapped {
+            d_vg + d_vd
+        } else {
+            d_vd
+        }
+    }
+
     /// Output conductance `∂I_D/∂V_DS` \[S\].
     pub fn gds(&self, v_gs: f64, v_ds: f64) -> f64 {
         let (vg, vd, _, swapped) = self.map_bias_swap(v_gs, v_ds);
-        // Unswapped: both sign flips (current and axis) cancel, leaving
-        // deriv_y. Swapped: the exchange substitutes vg' = vg - vd, so the
-        // external V_DS derivative picks up the gate-axis term as well —
-        // dropping it makes the Newton Jacobian inconsistent exactly where
-        // series-stack internal nodes land mid-iteration.
-        if swapped {
-            self.id_a.deriv_x(vg, vd) + self.id_a.deriv_y(vg, vd)
-        } else {
-            self.id_a.deriv_y(vg, vd)
-        }
+        let (_, d_vg, d_vd) = self.id_a.eval_with_derivs(vg, vd);
+        Self::gds_from(swapped, d_vg, d_vd)
     }
 
     /// Transconductance `∂I_D/∂V_GS` \[S\].
     pub fn gm(&self, v_gs: f64, v_ds: f64) -> f64 {
         let (vg, vd, sign) = self.map_bias(v_gs, v_ds);
-        let mut g = self.id_a.deriv_x(vg, vd);
-        // Internal sign: dI/dVgs external = sign * dI/dvg * dvg/dVgs.
-        let chain = match self.polarity {
-            Polarity::NType => 1.0,
-            Polarity::PType => -1.0,
-        };
-        g *= sign * chain;
-        g
+        self.gm_from(sign, self.id_a.deriv_x(vg, vd))
     }
 
     /// Net channel charge \[C\] at the external bias.
@@ -453,17 +476,32 @@ impl DeviceTable {
         sign * self.q_c.eval(vg, vd)
     }
 
-    /// Intrinsic gate-drain capacitance `C_GD,i = |∂Q/∂V_DS|` \[F\] (§3).
+    /// Intrinsic `(C_GS,i, C_GD,i)` \[F\] from one table-cell search (§3):
+    /// `C_GD,i = |∂Q/∂V_DS|` and `C_GS,i = |∂Q/∂V_GS| − |∂Q/∂V_DS|`,
+    /// clamped at zero. The transient companion models and the AC
+    /// capacitance matrix both read the capacitances through here.
+    ///
+    /// The derivatives are taken in the *internal* coordinates; in the
+    /// swapped region (`v_ds < 0` after the polarity mirror) those belong
+    /// to the exchanged terminals (a known issue, DESIGN.md §12.1).
+    pub fn caps_intrinsic(&self, v_gs: f64, v_ds: f64) -> (f64, f64) {
+        let (vg, vd, _) = self.map_bias(v_gs, v_ds);
+        let (_, dq_vg, dq_vd) = self.q_c.eval_with_derivs(vg, vd);
+        let cgd = dq_vd.abs();
+        ((dq_vg.abs() - cgd).max(0.0), cgd)
+    }
+
+    /// Intrinsic gate-drain capacitance `C_GD,i = |∂Q/∂V_DS|` \[F\] (see
+    /// [`caps_intrinsic`](Self::caps_intrinsic)).
     pub fn cgd_intrinsic(&self, v_gs: f64, v_ds: f64) -> f64 {
         let (vg, vd, _) = self.map_bias(v_gs, v_ds);
         self.q_c.deriv_y(vg, vd).abs()
     }
 
-    /// Intrinsic gate-source capacitance
-    /// `C_GS,i = |∂Q/∂V_GS| − |∂Q/∂V_DS|` \[F\], clamped at zero (§3).
+    /// Intrinsic gate-source capacitance `C_GS,i` \[F\] (see
+    /// [`caps_intrinsic`](Self::caps_intrinsic)).
     pub fn cgs_intrinsic(&self, v_gs: f64, v_ds: f64) -> f64 {
-        let (vg, vd, _) = self.map_bias(v_gs, v_ds);
-        (self.q_c.deriv_x(vg, vd).abs() - self.q_c.deriv_y(vg, vd).abs()).max(0.0)
+        self.caps_intrinsic(v_gs, v_ds).0
     }
 
     /// Total intrinsic gate capacitance `C_G,i = |∂Q/∂V_GS|` \[F\].
@@ -772,6 +810,82 @@ mod tests {
                 assert!(cg > 0.0 && cg < 1e-15, "C_G = {cg:.3e} F");
             }
         }
+    }
+
+    /// `current`, `gm`, `gds`, `cgs_intrinsic` and `cgd_intrinsic` as
+    /// independent formulas, one cell search per quantity, swapped-region
+    /// `gds` chain rule included: the oracle the fused and the public
+    /// separate lookups must match bit for bit.
+    fn separate_lookups(t: &DeviceTable, v_gs: f64, v_ds: f64) -> [f64; 5] {
+        let (vg, vd, sign, swapped) = t.map_bias_swap(v_gs, v_ds);
+        let current = sign * t.id_a.eval(vg, vd);
+        let gds = if swapped {
+            t.id_a.deriv_x(vg, vd) + t.id_a.deriv_y(vg, vd)
+        } else {
+            t.id_a.deriv_y(vg, vd)
+        };
+        let mut gm = t.id_a.deriv_x(vg, vd);
+        let chain = match t.polarity {
+            Polarity::NType => 1.0,
+            Polarity::PType => -1.0,
+        };
+        gm *= sign * chain;
+        let cgs = (t.q_c.deriv_x(vg, vd).abs() - t.q_c.deriv_y(vg, vd).abs()).max(0.0);
+        let cgd = t.q_c.deriv_y(vg, vd).abs();
+        [current, gm, gds, cgs, cgd]
+    }
+
+    #[test]
+    fn fused_lookups_are_bit_identical_to_separate_calls() {
+        let n = shared_table();
+        let tables = [
+            n.clone(),
+            n.mirrored(),
+            n.with_vg_shift(0.137),
+            n.with_vg_shift(-0.09).mirrored(),
+        ];
+        let mut rng = gnr_num::Rng::seed_from_u64(0x10_0c4b);
+        let mut swapped = 0;
+        for t in &tables {
+            let s = match t.polarity() {
+                Polarity::NType => 1.0,
+                Polarity::PType => -1.0,
+            };
+            for k in 0..1500 {
+                // Internal coordinates span the coarse grid (vgs −0.3…0.9,
+                // vds 0…0.8); every third point goes up to 0.6 V past an
+                // edge, and v_ds < 0 exercises the source/drain exchange.
+                let reach = if k % 3 == 0 { 0.6 } else { 0.0 };
+                let v_gs = s * rng.uniform_in(-0.3 - reach, 0.9 + reach);
+                let v_ds = s * rng.uniform_in(-0.8 - reach, 0.8 + reach);
+                if s * v_ds < 0.0 {
+                    swapped += 1;
+                }
+                let (id, gm, gds) = t.iv_eval(v_gs, v_ds);
+                let (cgs, cgd) = t.caps_intrinsic(v_gs, v_ds);
+                let fused = [id, gm, gds, cgs, cgd];
+                let separate = [
+                    t.current(v_gs, v_ds),
+                    t.gm(v_gs, v_ds),
+                    t.gds(v_gs, v_ds),
+                    t.cgs_intrinsic(v_gs, v_ds),
+                    t.cgd_intrinsic(v_gs, v_ds),
+                ];
+                let want = separate_lookups(t, v_gs, v_ds);
+                for (what, got) in [("fused", fused), ("separate", separate)] {
+                    for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{what} output {i} of {:?} table (shift {}) at ({v_gs}, {v_ds})",
+                            t.polarity(),
+                            t.vg_shift()
+                        );
+                    }
+                }
+            }
+        }
+        assert!(swapped > 2000, "swapped-region coverage: {swapped}");
     }
 
     #[test]

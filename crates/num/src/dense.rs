@@ -173,54 +173,25 @@ impl Matrix {
         self.data.iter().fold(0.0, |m, &v| m.max(v.abs()))
     }
 
+    /// Resets every entry to zero in place, keeping the allocation (the
+    /// per-iteration Jacobian reset of the circuit Newton loops).
+    pub fn fill_zero(&mut self) {
+        self.data.fill(0.0);
+    }
+
     /// LU factorization with partial pivoting.
+    ///
+    /// Allocates a fresh [`LuFactors`]; loops that factor many same-sized
+    /// matrices should keep one workspace and call [`LuFactors::factor`].
     ///
     /// # Errors
     ///
     /// Returns [`NumError::SingularMatrix`] if a pivot underflows, and
     /// [`NumError::DimensionMismatch`] for non-square input.
     pub fn lu(&self) -> NumResult<LuFactors> {
-        if self.rows != self.cols {
-            return Err(NumError::dims(format!(
-                "lu requires square matrix, got {}x{}",
-                self.rows, self.cols
-            )));
-        }
-        let n = self.rows;
-        let mut lu = self.data.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0f64;
-        for k in 0..n {
-            // Partial pivot: find the largest |entry| in column k at/below k.
-            let mut p = k;
-            let mut best = lu[k * n + k].abs();
-            for i in (k + 1)..n {
-                let v = lu[i * n + k].abs();
-                if v > best {
-                    best = v;
-                    p = i;
-                }
-            }
-            if best < f64::MIN_POSITIVE * 16.0 {
-                return Err(NumError::SingularMatrix { pivot: k });
-            }
-            if p != k {
-                for j in 0..n {
-                    lu.swap(k * n + j, p * n + j);
-                }
-                perm.swap(k, p);
-                sign = -sign;
-            }
-            let pivot = lu[k * n + k];
-            for i in (k + 1)..n {
-                let factor = lu[i * n + k] / pivot;
-                lu[i * n + k] = factor;
-                for j in (k + 1)..n {
-                    lu[i * n + j] -= factor * lu[k * n + j];
-                }
-            }
-        }
-        Ok(LuFactors { n, lu, perm, sign })
+        let mut f = LuFactors::default();
+        f.factor(self)?;
+        Ok(f)
     }
 
     /// Solves `self * x = b` via LU factorization.
@@ -229,6 +200,21 @@ impl Matrix {
     ///
     /// Propagates factorization failures; see [`Matrix::lu`].
     pub fn solve(&self, b: &[f64]) -> NumResult<Vec<f64>> {
+        let mut x = vec![0.0; self.rows];
+        self.solve_into(&mut LuFactors::default(), b, &mut x)?;
+        Ok(x)
+    }
+
+    /// [`Matrix::solve`] through caller-owned buffers: factors into the
+    /// workspace `lu` and writes the solution into `x`, allocating nothing
+    /// once the buffers have grown to size. Results are bit-identical to
+    /// [`Matrix::solve`], which delegates here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumError::DimensionMismatch`] if `b` or `x` does not match
+    /// the row count, and propagates factorization failures.
+    pub fn solve_into(&self, lu: &mut LuFactors, b: &[f64], x: &mut [f64]) -> NumResult<()> {
         if b.len() != self.rows {
             return Err(NumError::dims(format!(
                 "rhs length {} does not match {} rows",
@@ -236,7 +222,16 @@ impl Matrix {
                 self.rows
             )));
         }
-        Ok(self.lu()?.solve(b))
+        if x.len() != self.rows {
+            return Err(NumError::dims(format!(
+                "solution length {} does not match {} rows",
+                x.len(),
+                self.rows
+            )));
+        }
+        lu.factor(self)?;
+        lu.solve_into(b, x);
+        Ok(())
     }
 
     /// Matrix inverse via LU factorization.
@@ -249,10 +244,11 @@ impl Matrix {
         let n = self.rows;
         let mut out = Matrix::zeros(n, n);
         let mut e = vec![0.0; n];
+        let mut col = vec![0.0; n];
         for j in 0..n {
             e.fill(0.0);
             e[j] = 1.0;
-            let col = f.solve(&e);
+            f.solve_into(&e, &mut col);
             for (i, &v) in col.iter().enumerate() {
                 out.set(i, j, v);
             }
@@ -406,8 +402,9 @@ impl Mul<f64> for &Matrix {
 }
 
 /// The result of an LU factorization with partial pivoting, reusable for
-/// multiple right-hand sides.
-#[derive(Clone, Debug)]
+/// multiple right-hand sides — and, through [`LuFactors::factor`], a
+/// reusable workspace for factoring many matrices of the same size.
+#[derive(Clone, Debug, Default)]
 pub struct LuFactors {
     n: usize,
     lu: Vec<f64>,
@@ -416,16 +413,89 @@ pub struct LuFactors {
 }
 
 impl LuFactors {
+    /// Factors `a` into this workspace, reusing its buffers: the one dense
+    /// elimination kernel ([`Matrix::lu`] and [`Matrix::solve`] delegate
+    /// here). On error the workspace holds a partial factorization and
+    /// must be re-factored before [`solve`](Self::solve) is used.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumError::SingularMatrix`] if a pivot underflows, and
+    /// [`NumError::DimensionMismatch`] for non-square input.
+    pub fn factor(&mut self, a: &Matrix) -> NumResult<()> {
+        if a.rows != a.cols {
+            return Err(NumError::dims(format!(
+                "lu requires square matrix, got {}x{}",
+                a.rows, a.cols
+            )));
+        }
+        let n = a.rows;
+        self.n = n;
+        self.lu.clear();
+        self.lu.extend_from_slice(&a.data);
+        self.perm.clear();
+        self.perm.extend(0..n);
+        self.sign = 1.0;
+        let lu = &mut self.lu;
+        for k in 0..n {
+            // Partial pivot: find the largest |entry| in column k at/below k.
+            let mut p = k;
+            let mut best = lu[k * n + k].abs();
+            for i in (k + 1)..n {
+                let v = lu[i * n + k].abs();
+                if v > best {
+                    best = v;
+                    p = i;
+                }
+            }
+            if best < f64::MIN_POSITIVE * 16.0 {
+                return Err(NumError::SingularMatrix { pivot: k });
+            }
+            if p != k {
+                for j in 0..n {
+                    lu.swap(k * n + j, p * n + j);
+                }
+                self.perm.swap(k, p);
+                self.sign = -self.sign;
+            }
+            let pivot = lu[k * n + k];
+            for i in (k + 1)..n {
+                let factor = lu[i * n + k] / pivot;
+                lu[i * n + k] = factor;
+                for j in (k + 1)..n {
+                    lu[i * n + j] -= factor * lu[k * n + j];
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Solves `A x = b` using the stored factors.
     ///
     /// # Panics
     ///
     /// Panics if `b.len()` does not match the factored dimension.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
+        let mut x = vec![0.0; self.n];
+        self.solve_into(b, &mut x);
+        x
+    }
+
+    /// [`Self::solve`] into a caller-provided buffer — identical
+    /// substitution arithmetic, no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` or `x.len()` does not match the factored
+    /// dimension.
+    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) {
         assert_eq!(b.len(), self.n, "rhs length mismatch");
+        assert_eq!(x.len(), self.n, "solution length mismatch");
         let n = self.n;
         // Forward substitution on the permuted rhs.
-        let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
+        for (xi, &p) in x.iter_mut().zip(&self.perm) {
+            *xi = b[p];
+        }
         for i in 1..n {
             let mut acc = x[i];
             for (j, &xj) in x.iter().enumerate().take(i) {
@@ -441,7 +511,6 @@ impl LuFactors {
             }
             x[i] = acc / self.lu[i * n + i];
         }
-        x
     }
 }
 

@@ -89,7 +89,10 @@ impl Grid1 {
     pub fn locate(&self, x: f64) -> (usize, f64) {
         let t = (x - self.start) / self.step;
         let max_cell = self.n - 2;
-        let cell = (t.floor().max(0.0) as usize).min(max_cell);
+        // `floor(max(t, 0))` by truncation: the float-to-int cast rounds
+        // towards zero (and saturates, NaN → 0), which equals the floor on
+        // the non-negative range, without a libm `floor` call per lookup.
+        let cell = (t.max(0.0) as usize).min(max_cell);
         (cell, t - cell as f64)
     }
 }
@@ -241,37 +244,57 @@ impl BilinearTable {
         self.values[i * self.grid.y.len() + j]
     }
 
-    /// Interpolated value at `(x, y)`; bilinear inside the grid, linear
-    /// extrapolation from the boundary cell outside it.
-    pub fn eval(&self, x: f64, y: f64) -> f64 {
+    /// Locates the cell containing `(x, y)` (the boundary cell outside the
+    /// grid) and loads its four corner values — the one cell search every
+    /// lookup below shares. Forced inline: called out of line it hands the
+    /// cell back through memory, which made single lookups slower than the
+    /// separate formulas it replaces.
+    #[inline(always)]
+    fn cell(&self, x: f64, y: f64) -> Cell {
         let (i, s) = self.grid.x.locate(x);
         let (j, t) = self.grid.y.locate(y);
         let ny = self.grid.y.len();
-        let v00 = self.values[i * ny + j];
-        let v01 = self.values[i * ny + j + 1];
-        let v10 = self.values[(i + 1) * ny + j];
-        let v11 = self.values[(i + 1) * ny + j + 1];
-        v00 * (1.0 - s) * (1.0 - t) + v10 * s * (1.0 - t) + v01 * (1.0 - s) * t + v11 * s * t
+        Cell {
+            s,
+            t,
+            v00: self.values[i * ny + j],
+            v01: self.values[i * ny + j + 1],
+            v10: self.values[(i + 1) * ny + j],
+            v11: self.values[(i + 1) * ny + j + 1],
+        }
+    }
+
+    /// Interpolated value at `(x, y)`; bilinear inside the grid, linear
+    /// extrapolation from the boundary cell outside it.
+    #[inline]
+    pub fn eval(&self, x: f64, y: f64) -> f64 {
+        self.cell(x, y).value()
     }
 
     /// Partial derivative `∂f/∂x` of the bilinear surface at `(x, y)`.
+    #[inline]
     pub fn deriv_x(&self, x: f64, y: f64) -> f64 {
-        let (i, _) = self.grid.x.locate(x);
-        let (j, t) = self.grid.y.locate(y);
-        let ny = self.grid.y.len();
-        let d0 = self.values[(i + 1) * ny + j] - self.values[i * ny + j];
-        let d1 = self.values[(i + 1) * ny + j + 1] - self.values[i * ny + j + 1];
-        (d0 * (1.0 - t) + d1 * t) / self.grid.x.step()
+        self.cell(x, y).deriv_x(self.grid.x.step())
     }
 
     /// Partial derivative `∂f/∂y` of the bilinear surface at `(x, y)`.
+    #[inline]
     pub fn deriv_y(&self, x: f64, y: f64) -> f64 {
-        let (i, s) = self.grid.x.locate(x);
-        let (j, _) = self.grid.y.locate(y);
-        let ny = self.grid.y.len();
-        let d0 = self.values[i * ny + j + 1] - self.values[i * ny + j];
-        let d1 = self.values[(i + 1) * ny + j + 1] - self.values[(i + 1) * ny + j];
-        (d0 * (1.0 - s) + d1 * s) / self.grid.y.step()
+        self.cell(x, y).deriv_y(self.grid.y.step())
+    }
+
+    /// `(value, ∂f/∂x, ∂f/∂y)` at `(x, y)` from a single cell search —
+    /// bit-identical to [`eval`](Self::eval), [`deriv_x`](Self::deriv_x)
+    /// and [`deriv_y`](Self::deriv_y), which share the same formulas. The
+    /// circuit Newton loop needs all three per device per iteration.
+    #[inline]
+    pub fn eval_with_derivs(&self, x: f64, y: f64) -> (f64, f64, f64) {
+        let c = self.cell(x, y);
+        (
+            c.value(),
+            c.deriv_x(self.grid.x.step()),
+            c.deriv_y(self.grid.y.step()),
+        )
     }
 
     /// Applies `f` to every stored node value, returning a new table
@@ -308,6 +331,43 @@ impl BilinearTable {
     }
 }
 
+/// One located grid cell: fractional offsets `(s, t)` along the two axes
+/// and the corner values `v_ij` at `(x_i, y_j)` relative to the cell origin.
+#[derive(Clone, Copy)]
+struct Cell {
+    s: f64,
+    t: f64,
+    v00: f64,
+    v01: f64,
+    v10: f64,
+    v11: f64,
+}
+
+impl Cell {
+    #[inline]
+    fn value(&self) -> f64 {
+        let (s, t) = (self.s, self.t);
+        self.v00 * (1.0 - s) * (1.0 - t)
+            + self.v10 * s * (1.0 - t)
+            + self.v01 * (1.0 - s) * t
+            + self.v11 * s * t
+    }
+
+    #[inline]
+    fn deriv_x(&self, step: f64) -> f64 {
+        let d0 = self.v10 - self.v00;
+        let d1 = self.v11 - self.v01;
+        (d0 * (1.0 - self.t) + d1 * self.t) / step
+    }
+
+    #[inline]
+    fn deriv_y(&self, step: f64) -> f64 {
+        let d0 = self.v01 - self.v00;
+        let d1 = self.v11 - self.v10;
+        (d0 * (1.0 - self.s) + d1 * self.s) / step
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,6 +396,39 @@ mod tests {
         let (cell, t) = g.locate(2.0);
         assert_eq!(cell, 3);
         assert!(t > 1.0);
+        // The truncating cell index equals the clamped floor everywhere,
+        // including just below the grid, on nodes, and for NaN.
+        let floor_cell = |x: f64| {
+            let t = (x - g.start()) / g.step();
+            ((t.floor().max(0.0) as usize).min(g.len() - 2), t)
+        };
+        for x in [
+            -1e300,
+            -0.3,
+            -0.2,
+            -0.0,
+            0.0,
+            0.1,
+            0.25,
+            0.5,
+            0.74,
+            0.75,
+            1.0,
+            1.3,
+            1e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            let (cell, t) = g.locate(x);
+            let (want_cell, want_t) = floor_cell(x);
+            assert_eq!(cell, want_cell, "cell at {x}");
+            assert_eq!(
+                t.to_bits(),
+                (want_t - want_cell as f64).to_bits(),
+                "offset at {x}"
+            );
+        }
     }
 
     #[test]
@@ -377,6 +470,65 @@ mod tests {
         // df/dx = 4 + y, df/dy = -2 + x: exact for bilinear functions.
         assert!((t.deriv_x(0.35, 0.6) - 4.6).abs() < 1e-12);
         assert!((t.deriv_y(0.35, 0.6) + 1.65).abs() < 1e-12);
+    }
+
+    /// The three lookups as independent formulas, one cell search each:
+    /// the oracle the shared-cell lookups must match bit for bit.
+    fn separate_lookups(t: &BilinearTable, x: f64, y: f64) -> (f64, f64, f64) {
+        let ny = t.grid.y.len();
+        let v = |i: usize, j: usize| t.values[i * ny + j];
+        let value = {
+            let (i, s) = t.grid.x.locate(x);
+            let (j, u) = t.grid.y.locate(y);
+            v(i, j) * (1.0 - s) * (1.0 - u)
+                + v(i + 1, j) * s * (1.0 - u)
+                + v(i, j + 1) * (1.0 - s) * u
+                + v(i + 1, j + 1) * s * u
+        };
+        let dx = {
+            let (i, _) = t.grid.x.locate(x);
+            let (j, u) = t.grid.y.locate(y);
+            let d0 = v(i + 1, j) - v(i, j);
+            let d1 = v(i + 1, j + 1) - v(i, j + 1);
+            (d0 * (1.0 - u) + d1 * u) / t.grid.x.step()
+        };
+        let dy = {
+            let (i, s) = t.grid.x.locate(x);
+            let (j, _) = t.grid.y.locate(y);
+            let d0 = v(i, j + 1) - v(i, j);
+            let d1 = v(i + 1, j + 1) - v(i + 1, j);
+            (d0 * (1.0 - s) + d1 * s) / t.grid.y.step()
+        };
+        (value, dx, dy)
+    }
+
+    #[test]
+    fn fused_lookup_is_bit_identical_to_separate_calls() {
+        let gx = Grid1::new(-0.35, 1.0, 21).unwrap();
+        let gy = Grid1::new(0.0, 0.85, 17).unwrap();
+        let t = BilinearTable::from_fn(Grid2::new(gx, gy), |x, y| {
+            1e-6 * (3.0 * x).exp() * (4.0 * y).tanh() + 1e-9 * x * y
+        });
+        let mut rng = crate::rng::Rng::seed_from_u64(0x1b11_2e4a);
+        for k in 0..4000 {
+            // A third inside the grid, a third on a range reaching 0.5
+            // beyond every edge (boundary-cell extrapolation), a third on
+            // exact grid nodes.
+            let (x, y) = match k % 3 {
+                0 => (rng.uniform_in(-0.35, 1.0), rng.uniform_in(0.0, 0.85)),
+                1 => (rng.uniform_in(-0.85, 1.5), rng.uniform_in(-0.5, 1.35)),
+                _ => (gx.point(rng.below(21)), gy.point(rng.below(17))),
+            };
+            let (value, dx, dy) = t.eval_with_derivs(x, y);
+            let want = separate_lookups(&t, x, y);
+            let bits = |a: (f64, f64, f64)| (a.0.to_bits(), a.1.to_bits(), a.2.to_bits());
+            assert_eq!(bits((value, dx, dy)), bits(want), "({x}, {y})");
+            assert_eq!(
+                bits((t.eval(x, y), t.deriv_x(x, y), t.deriv_y(x, y))),
+                bits(want),
+                "separate calls at ({x}, {y})"
+            );
+        }
     }
 
     #[test]

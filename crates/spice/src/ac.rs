@@ -151,8 +151,7 @@ fn capacitance_matrix(circuit: &Circuit, x0: &[f64]) -> Matrix {
                 let vg = circuit.voltage(x0, *g);
                 let vd = circuit.voltage(x0, *d);
                 let vs = circuit.voltage(x0, *s);
-                let cgs = table.cgs_intrinsic(vg - vs, vd - vs);
-                let cgd = table.cgd_intrinsic(vg - vs, vd - vs);
+                let (cgs, cgd) = table.caps_intrinsic(vg - vs, vd - vs);
                 stamp_pair(*g, *s, cgs);
                 stamp_pair(*g, *d, cgd);
             }

@@ -134,8 +134,11 @@ pub enum Element {
 }
 
 /// Callback that stamps a capacitor companion model into the MNA system
-/// (element, trial solution, Jacobian sink, residual).
-pub(crate) type CapStamp<'a> = &'a mut dyn FnMut(&Element, &[f64], &mut dyn MnaSink, &mut Vec<f64>);
+/// (element index in [`Circuit::elements`], element, trial solution,
+/// Jacobian sink, residual). The index lets the transient engine keep its
+/// per-element companion state in flat vectors.
+pub(crate) type CapStamp<'a> =
+    &'a mut dyn FnMut(usize, &Element, &[f64], &mut dyn MnaSink, &mut Vec<f64>);
 
 /// A flat netlist plus node interning.
 #[derive(Clone, Debug, Default)]
@@ -342,7 +345,7 @@ impl Circuit {
             res[i] += gmin * x[i];
         }
         let mut src_idx = 0usize;
-        for e in &self.elements {
+        for (idx, e) in self.elements.iter().enumerate() {
             match e {
                 Element::Resistor { a, b, ohms } => {
                     let g = 1.0 / ohms;
@@ -365,7 +368,7 @@ impl Circuit {
                 }
                 Element::Capacitor { .. } => {
                     if let Some(f) = cap_stamp.as_deref_mut() {
-                        f(e, x, &mut *jac, res);
+                        f(idx, e, x, &mut *jac, res);
                     }
                 }
                 Element::VSource { p, n, wave } => {
@@ -402,19 +405,23 @@ impl Circuit {
                     let (vd, vg, vs) = (volt(*d, x), volt(*g, x), volt(*s, x));
                     let vgs = vg - vs;
                     let vds = vd - vs;
+                    // The gm/gds derivatives only feed the Jacobian:
+                    // residual-only sinks look up the current alone, full
+                    // stamps take all three from one table-cell search.
+                    let (id, conductances) = if jac.wants_matrix() {
+                        let (id, gm, gds) = table.iv_eval(vgs, vds);
+                        (id, Some((gm, gds)))
+                    } else {
+                        (table.current(vgs, vds), None)
+                    };
                     // Current into drain = id; out of source = id.
-                    let id = table.current(vgs, vds);
                     if let Some(idd) = self.mna_index(*d) {
                         res[idd] += id;
                     }
                     if let Some(is) = self.mna_index(*s) {
                         res[is] -= id;
                     }
-                    // The gm/gds table lookups only feed the Jacobian;
-                    // residual-only sinks skip them entirely.
-                    if jac.wants_matrix() {
-                        let gm = table.gm(vgs, vds);
-                        let gds = table.gds(vgs, vds);
+                    if let Some((gm, gds)) = conductances {
                         if let Some(idd) = self.mna_index(*d) {
                             jac.add(idd, idd, gds);
                             if let Some(ig) = self.mna_index(*g) {
@@ -437,7 +444,7 @@ impl Circuit {
                     // The FET's capacitive gate current is handled by the
                     // transient companion models, not here.
                     if let Some(f) = cap_stamp.as_deref_mut() {
-                        f(e, x, &mut *jac, res);
+                        f(idx, e, x, &mut *jac, res);
                     }
                 }
             }

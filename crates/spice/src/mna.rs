@@ -16,6 +16,7 @@
 
 use crate::circuit::{Circuit, Element};
 use crate::error::SpiceError;
+use gnr_num::dense::LuFactors;
 use gnr_num::telemetry;
 use gnr_num::{CsrMatrix, Matrix, Refactorization, SparseLu, TripletBuilder};
 
@@ -57,7 +58,7 @@ pub(crate) trait MnaSink {
 
 impl MnaSink for Matrix {
     fn clear(&mut self) {
-        *self = Matrix::zeros(self.rows(), self.cols());
+        self.fill_zero();
     }
 
     fn add(&mut self, i: usize, j: usize, v: f64) {
@@ -180,13 +181,20 @@ pub(crate) fn mna_pattern(circuit: &Circuit) -> CsrMatrix {
 }
 
 /// A per-circuit MNA linear system: the Jacobian storage plus the solver
-/// that factors it. Built once per circuit (symbolic analysis paid once)
-/// and reused across all Newton iterations and stages.
+/// that factors it and the Newton-update buffer it solves into. Built once
+/// per circuit (symbolic analysis paid once) and reused across all Newton
+/// iterations and stages.
 pub(crate) enum MnaSystem {
-    /// Legacy dense Jacobian, dense partial-pivoting LU each solve.
+    /// Legacy dense Jacobian, dense partial-pivoting LU each solve. The LU
+    /// workspace and solution buffer persist across solves, so a dense
+    /// Newton iteration allocates nothing.
     Dense {
         /// Dense Jacobian storage.
         jac: Matrix,
+        /// Reused factorization workspace.
+        lu: LuFactors,
+        /// Solution of the latest solve.
+        dx: Vec<f64>,
     },
     /// Fixed-pattern CSR Jacobian with KLU-style refactor/solve.
     Sparse {
@@ -195,6 +203,8 @@ pub(crate) enum MnaSystem {
         /// The analyzed solver; `refactor` replays the recorded pivots.
         /// Boxed to keep the enum's variants comparably sized.
         lu: Box<SparseLu>,
+        /// Solution of the latest solve.
+        dx: Vec<f64>,
     },
 }
 
@@ -218,6 +228,7 @@ impl MnaSystem {
                     return MnaSystem::Sparse {
                         jac: pattern,
                         lu: Box::new(lu),
+                        dx: Vec::new(),
                     };
                 }
                 Err(_) => {
@@ -227,27 +238,33 @@ impl MnaSystem {
         }
         MnaSystem::Dense {
             jac: Matrix::zeros(n, n),
+            lu: LuFactors::default(),
+            dx: vec![0.0; n],
         }
     }
 
     /// The stamping destination for this system's Jacobian.
     pub fn sink(&mut self) -> &mut dyn MnaSink {
         match self {
-            MnaSystem::Dense { jac } => jac,
+            MnaSystem::Dense { jac, .. } => jac,
             MnaSystem::Sparse { jac, .. } => jac,
         }
     }
 
-    /// Factors the currently stamped Jacobian and solves for `res`.
+    /// Factors the currently stamped Jacobian and solves for `res`,
+    /// returning the solution (valid until the next solve).
     ///
     /// # Errors
     ///
     /// Propagates singular-matrix and dimension errors as
     /// [`SpiceError::Linear`].
-    pub fn solve(&mut self, res: &[f64]) -> Result<Vec<f64>, SpiceError> {
+    pub fn solve(&mut self, res: &[f64]) -> Result<&[f64], SpiceError> {
         match self {
-            MnaSystem::Dense { jac } => Ok(jac.solve(res)?),
-            MnaSystem::Sparse { jac, lu } => {
+            MnaSystem::Dense { jac, lu, dx } => {
+                jac.solve_into(lu, res, dx)?;
+                Ok(dx)
+            }
+            MnaSystem::Sparse { jac, lu, dx } => {
                 match lu.refactor(jac)? {
                     Refactorization::Fresh => telemetry::counter_inc("spice.sparselu.factor"),
                     Refactorization::Reused => telemetry::counter_inc("spice.sparselu.refactor"),
@@ -255,7 +272,8 @@ impl MnaSystem {
                         telemetry::counter_inc("spice.sparselu.factor_fallback");
                     }
                 }
-                Ok(lu.solve(res)?)
+                *dx = lu.solve(res)?;
+                Ok(dx)
             }
         }
     }
@@ -364,7 +382,7 @@ mod tests {
             let mut sys = MnaSystem::for_circuit(&c, kind);
             let mut res = vec![0.0; n];
             c.stamp(&x, 0.0, 1e-12, None, sys.sink(), &mut res);
-            solutions.push(sys.solve(&res).expect("solves"));
+            solutions.push(sys.solve(&res).expect("solves").to_vec());
         }
         for (a, b) in solutions[0].iter().zip(&solutions[1]) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");

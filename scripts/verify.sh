@@ -105,6 +105,14 @@ GNR_THREADS=1 cargo test -q --offline \
 GNR_THREADS=4 cargo test -q --offline \
   --test netlist_conformance --test netlist_parser --test circuit_zoo
 
+# Transient-step golden pins (DESIGN.md §12.1): FO4 metrics at two
+# (V_DD, V_T) corners, a trapezoidal FO4 waveform and a 3x3 design-space
+# map, pinned as f64 bit patterns. Named on both pool sizes because the
+# pinned bits must be thread-count invariant.
+echo "== tier-1: transient-step golden pins (GNR_THREADS=1 and 4) =="
+GNR_THREADS=1 cargo test -q --offline --test transient_pins
+GNR_THREADS=4 cargo test -q --offline --test transient_pins
+
 if [ "$TIER" = "1" ]; then
   echo "verify: tier-1 checks passed"
   exit 0
