@@ -7,7 +7,7 @@
 //! ([`SbfetModel::potential_profile`], whose boundary samples are pinned at
 //! the contact potentials `0` and `−V_DS`), the contacts are semi-infinite
 //! GNR leads at those potentials, and current/charge come from
-//! [`integrate_transport_with`]. Unlike the wide-band-metal SCF path, every
+//! [`integrate_transport`]. Unlike the wide-band-metal SCF path, every
 //! energy point here pays two Sancho–Rubio decimations — exactly the
 //! redundant structure the [`SurfaceGfCache`] removes.
 //!
@@ -31,7 +31,7 @@ use crate::table::{DeviceTable, Polarity, TableGrid};
 use gnr_lattice::DeviceHamiltonian;
 use gnr_negf::mode_space::{ModeBasis, ModeSpaceOptions, ModeSpaceSolver};
 use gnr_negf::transport::{
-    integrate_transport_with, EnergyGrid, RefineOptions, SpectralSolver, TransportOptions,
+    integrate_transport, EnergyGrid, RefineOptions, SpectralSolver, TransportOptions,
 };
 use gnr_negf::{Lead, RgfSolver, SurfaceGfCache};
 use gnr_num::par::ExecCtx;
@@ -174,7 +174,7 @@ fn sweep_grid<S, F>(
     gnr: gnr_lattice::AGnr,
     cells: usize,
     atom_pots: &[Vec<f64>],
-    energy_grid: &EnergyGrid,
+    energies: &[f64],
     topts: &TransportOptions,
     temperature_k: f64,
     scale: f64,
@@ -192,10 +192,10 @@ where
             let atom_pot = &atom_pots[i * points + j];
             let ham = DeviceHamiltonian::new(gnr, cells, atom_pot)?;
             let solver = make_solver(&ham, vd)?;
-            let r = integrate_transport_with(
+            let r = integrate_transport(
                 ctx,
                 &solver,
-                energy_grid,
+                energies,
                 topts,
                 0.0,
                 -vd,
@@ -265,8 +265,7 @@ pub fn ballistic_negf_table(
     } else {
         opts.energy_step_ev
     };
-    let energy_grid = EnergyGrid::with_step(lo, hi, step)?;
-    let base_energies: Vec<f64> = energy_grid.energies().collect();
+    let base_energies: Vec<f64> = EnergyGrid::with_step(lo, hi, step)?.energies().collect();
 
     let cache = opts.use_cache.then(|| Arc::new(SurfaceGfCache::new()));
     let topts = TransportOptions {
@@ -340,7 +339,7 @@ pub fn ballistic_negf_table(
                 gnr,
                 cells,
                 &atom_pots,
-                &energy_grid,
+                &base_energies,
                 &topts,
                 cfg.temperature_k,
                 k,
@@ -371,7 +370,7 @@ pub fn ballistic_negf_table(
                 gnr,
                 cells,
                 &atom_pots,
-                &energy_grid,
+                &base_energies,
                 &topts,
                 cfg.temperature_k,
                 k,

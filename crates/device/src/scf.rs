@@ -12,10 +12,7 @@
 use crate::config::DeviceConfig;
 use crate::error::DeviceError;
 use gnr_lattice::DeviceHamiltonian;
-use gnr_negf::transport::{
-    integrate_transport, integrate_transport_frozen, integrate_transport_with, EnergyGrid,
-    RefineOptions, TransportOptions,
-};
+use gnr_negf::transport::{integrate_transport, EnergyGrid, RefineOptions, TransportOptions};
 use gnr_negf::{Lead, RgfSolver};
 use gnr_num::par::{ExecCtx, RecoveryPolicy};
 use gnr_num::recover::{AttemptReport, EscalationLadder, SolveReport};
@@ -38,7 +35,7 @@ pub struct ScfOptions {
     /// Adaptive energy-grid refinement for the transport integrals: when
     /// set, `energy_points` describes the *coarse base* grid and intervals
     /// where `T(E)` jumps are bisected per [`RefineOptions`]. `None` keeps
-    /// the legacy uniform grid.
+    /// the uniform grid.
     pub refine: Option<RefineOptions>,
 }
 
@@ -381,6 +378,7 @@ impl ScfSolver {
             mu_s.max(mu_d) + pad,
             opts.energy_points,
         )?;
+        let mut energies: Vec<f64> = grid.energies().collect();
 
         // Initial guess: zero charge -> Laplace potential (still solved when
         // a ladder rung hands in a previous iterate, to seed the Poisson
@@ -410,7 +408,7 @@ impl ScfSolver {
         // charge a discontinuous function of the potential (the refinement
         // set flips as T(E) features move), which turns the fixed point
         // into a limit cycle.
-        let mut frozen_energies: Option<Vec<f64>> = None;
+        let mut refine = opts.refine;
 
         for it in 0..opts.max_iterations {
             ctx.check_budget("scf.iteration")?;
@@ -421,44 +419,23 @@ impl ScfSolver {
                 Lead::metal_with_gamma(cfg.contact_gamma_ev),
                 Lead::metal_with_gamma(cfg.contact_gamma_ev),
             );
-            let transport = match opts.refine {
-                Some(refine) => match &frozen_energies {
-                    Some(energies) => integrate_transport_frozen(
-                        ctx,
-                        &solver,
-                        energies,
-                        &TransportOptions::legacy(),
-                        mu_s,
-                        mu_d,
-                        cfg.temperature_k,
-                        &u_atoms,
-                    )?,
-                    None => {
-                        let topts = TransportOptions::legacy().with_refine(refine);
-                        let r = integrate_transport_with(
-                            ctx,
-                            &solver,
-                            &grid,
-                            &topts,
-                            mu_s,
-                            mu_d,
-                            cfg.temperature_k,
-                            &u_atoms,
-                        )?;
-                        frozen_energies = Some(r.transmission.iter().map(|&(e, _)| e).collect());
-                        r
-                    }
-                },
-                None => integrate_transport(
-                    ctx,
-                    &solver,
-                    &grid,
-                    mu_s,
-                    mu_d,
-                    cfg.temperature_k,
-                    &u_atoms,
-                )?,
+            let topts = TransportOptions {
+                refine: refine.take(),
+                cache: None,
             };
+            let transport = integrate_transport(
+                ctx,
+                &solver,
+                &energies,
+                &topts,
+                mu_s,
+                mu_d,
+                cfg.temperature_k,
+                &u_atoms,
+            )?;
+            if topts.refine.is_some() {
+                energies = transport.transmission.iter().map(|&(e, _)| e).collect();
+            }
 
             // Poisson with the NEGF charge deposited per atom.
             let mut problem = cfg.build_poisson(0.0, v_d, v_g)?;
@@ -579,6 +556,20 @@ mod tests {
         assert!(r.iterations >= 1);
         assert!(r.current_a.is_finite());
         assert!(report.nominal(), "strict solve reports one nominal attempt");
+    }
+
+    #[test]
+    fn infinite_energy_margin_is_a_config_error() {
+        // An infinite window would make every grid energy NaN.
+        let opts = ScfOptions::fast().with_energy_margin_ev(f64::INFINITY);
+        let r = ScfSolver::new(&tiny_cfg(), opts).solve(&strict(), 0.0, 0.1);
+        assert!(
+            matches!(
+                r,
+                Err(DeviceError::Negf(gnr_negf::NegfError::Config { .. }))
+            ),
+            "{r:?}"
+        );
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //!   `T(E)`, contact-resolved spectral functions, and local density of
 //!   states without ever materializing the full `Gʳ`;
 //! * [`transport`] — Landauer current and bias-resolved electron/hole
-//!   charge integrals over energy, with an optional adaptive (bisecting)
-//!   energy grid behind [`TransportOptions`];
+//!   charge integrals over an energy list, in one integrator
+//!   ([`integrate_transport`]) shared by every [`SpectralSolver`], with an
+//!   optional adaptive (bisecting) refinement and surface-GF cache behind
+//!   [`TransportOptions`];
 //! * [`cache`] — bias-sweep memoization of Sancho–Rubio surface Green's
 //!   functions keyed on the quantized energy relative to the lead
 //!   potential, so `(Vg, Vd)` table builds reuse shifted entries.
@@ -55,6 +57,6 @@ pub use lead::Lead;
 pub use mode_space::{ModeBasis, ModeSpaceOptions, ModeSpaceSolver};
 pub use rgf::RgfSolver;
 pub use transport::{
-    integrate_transport, integrate_transport_frozen, integrate_transport_with, ChargeProfile,
-    EnergyGrid, RefineOptions, SpectralSolver, TransportOptions, TransportResult,
+    integrate_transport, ChargeProfile, EnergyGrid, RefineOptions, SpectralSolver,
+    TransportOptions, TransportResult,
 };

@@ -398,14 +398,6 @@ impl ModeSpaceSolver {
             a2_diag,
         }
     }
-
-    /// One real-space fallback slice — always a *fresh* solve (the shared
-    /// cache holds reduced-basis entries and must never serve the full
-    /// problem), so forced fallback reproduces the uncached real-space
-    /// path bit for bit.
-    fn fallback_slice(&self, e: f64, limits: &ExecLimits) -> Result<SpectralSlice, NegfError> {
-        self.full.spectral_slice(e, limits)
-    }
 }
 
 impl SpectralSolver for ModeSpaceSolver {
@@ -426,33 +418,25 @@ impl SpectralSolver for ModeSpaceSolver {
         self.reduced.prime_surface_cache(ctx, cache, energies)
     }
 
-    fn spectral_slice(&self, e: f64, limits: &ExecLimits) -> Result<SpectralSlice, NegfError> {
-        if self.degraded || fault::should_fail(FALLBACK_SITE) {
-            telemetry::counter_inc("negf.mode_space.fallbacks");
-            return self.fallback_slice(e, limits);
-        }
-        let (sigma1, sigma2) = self.reduced.contact_self_energies(e, limits)?;
-        let b = self
-            .reduced
-            .spectral_blocks_with_sigmas(e, &sigma1, &sigma2)?;
-        Ok(self.expand(b.energy, b.transmission, &b.a1, &b.a2))
-    }
-
-    fn spectral_slice_cached(
+    fn slice(
         &self,
         e: f64,
-        cache: &SurfaceGfCache,
+        cache: Option<&SurfaceGfCache>,
         shard: &mut TelemetryShard,
         limits: &ExecLimits,
     ) -> Result<SpectralSlice, NegfError> {
         if self.degraded || fault::should_fail(FALLBACK_SITE) {
             shard.counter_inc("negf.mode_space.fallbacks");
-            return self.fallback_slice(e, limits);
+            // Always a *fresh* real-space solve: the shared cache holds
+            // reduced-basis entries and must never serve the full problem,
+            // so forced fallback reproduces the uncached real-space path
+            // bit for bit.
+            return self.full.slice(e, None, shard, limits);
         }
-        let (sigma1, sigma2) = self.reduced.cached_self_energies(cache, e, shard, limits)?;
+        let (sigma1, sigma2) = self.reduced.self_energies(e, cache, shard, limits)?;
         let b = self
             .reduced
-            .spectral_blocks_with_sigmas(e, &sigma1, &sigma2)?;
+            .spectral_blocks_with_sigmas(e, &sigma1, &sigma2, shard)?;
         Ok(self.expand(b.energy, b.transmission, &b.a1, &b.a2))
     }
 }

@@ -13,12 +13,12 @@
 use crate::cache::{LeadSlot, Lookup, SurfaceGfCache};
 use crate::error::NegfError;
 use crate::lead::{broadening, surface_gf, Lead, DEFAULT_ETA, SURFACE_GF_MAX_ITER};
+use crate::transport::SpectralSolver;
 use gnr_lattice::DeviceHamiltonian;
 use gnr_num::budget::ExecLimits;
 use gnr_num::par::ExecCtx;
 use gnr_num::telemetry;
-use gnr_num::TelemetryShard;
-use gnr_num::{c64, CMatrix};
+use gnr_num::{c64, CMatrix, Telemetry, TelemetryShard};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -235,21 +235,24 @@ impl RgfSolver {
         Ok(t1.matmul(&tau.adjoint()))
     }
 
-    /// Both contact self-energies at `e`, served through `cache`. The
-    /// limits are threaded into any fresh Sancho–Rubio solve a cache miss
-    /// triggers; pass [`ExecLimits::none`] (or `ctx.limits()`) when
-    /// unbudgeted.
+    /// Both contact self-energies at `e`: served through `cache` when one
+    /// is given (hit/miss/fallback counters on `shard`), fresh
+    /// Sancho–Rubio solves otherwise. The limits are threaded into any
+    /// fresh solve.
     ///
     /// # Errors
     ///
     /// Propagates surface-GF convergence failures and budget stops.
-    pub fn cached_self_energies(
+    pub(crate) fn self_energies(
         &self,
-        cache: &SurfaceGfCache,
         e: f64,
+        cache: Option<&SurfaceGfCache>,
         shard: &mut TelemetryShard,
         limits: &ExecLimits,
     ) -> Result<(CMatrix, CMatrix), NegfError> {
+        let Some(cache) = cache else {
+            return self.contact_self_energies(e, limits);
+        };
         let sigma1 = self.cached_self_energy(cache, LeadSlot::Source, e, shard, limits)?;
         let sigma2 = self.cached_self_energy(cache, LeadSlot::Drain, e, shard, limits)?;
         Ok((sigma1, sigma2))
@@ -313,60 +316,35 @@ impl RgfSolver {
     }
 
     /// Computes transmission and contact-resolved spectral functions at
-    /// energy `e` (eV) with one forward and one backward RGF sweep. The
-    /// limits are threaded into the lead surface-GF solves; pass
+    /// energy `e` (eV) with one forward and one backward RGF sweep and
+    /// fresh lead self-energies, counting on the global telemetry sink —
+    /// the single-energy form of [`SpectralSolver::slice`]. The limits are
+    /// threaded into the lead surface-GF solves; pass
     /// [`ExecLimits::none`] (or `ctx.limits()`) when unbudgeted.
     ///
     /// # Errors
     ///
     /// Propagates lead and linear-algebra failures and budget stops.
     pub fn spectral_slice(&self, e: f64, limits: &ExecLimits) -> Result<SpectralSlice, NegfError> {
-        let (sigma1, sigma2) = self.contact_self_energies(e, limits)?;
-        self.spectral_slice_with_sigmas(e, &sigma1, &sigma2)
+        let sink = Telemetry::global();
+        let mut shard = TelemetryShard::for_sink(&sink);
+        let slice = SpectralSolver::slice(self, e, None, &mut shard, limits);
+        shard.merge_into(&sink);
+        slice
     }
 
-    /// [`Self::spectral_slice`] with the contact self-energies served
-    /// through `cache` instead of fresh Sancho–Rubio solves. The RGF sweeps
-    /// themselves are byte-identical to the legacy path; only Σ provenance
-    /// changes (cache entries are evaluated at the snapped relative energy,
-    /// a perturbation far below `DEFAULT_ETA`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates lead and linear-algebra failures and budget stops.
-    pub fn spectral_slice_cached(
-        &self,
-        e: f64,
-        cache: &SurfaceGfCache,
-        shard: &mut TelemetryShard,
-        limits: &ExecLimits,
-    ) -> Result<SpectralSlice, NegfError> {
-        let (sigma1, sigma2) = self.cached_self_energies(cache, e, shard, limits)?;
-        self.spectral_slice_with_sigmas(e, &sigma1, &sigma2)
-    }
-
-    fn spectral_slice_with_sigmas(
-        &self,
-        e: f64,
-        sigma1: &CMatrix,
-        sigma2: &CMatrix,
-    ) -> Result<SpectralSlice, NegfError> {
-        Ok(self
-            .spectral_blocks_with_sigmas(e, sigma1, sigma2)?
-            .into_slice())
-    }
-
-    /// The full-block core of the RGF solve: identical sweeps to
-    /// [`Self::spectral_slice_with_sigmas`], but keeping the per-layer
-    /// spectral matrices instead of collapsing to diagonals.
+    /// The full-block core of the RGF solve: the per-layer spectral
+    /// matrices, which [`SpectralBlocks::into_slice`] collapses to
+    /// diagonals. Counts the call and its two sweeps on `shard`.
     pub(crate) fn spectral_blocks_with_sigmas(
         &self,
         e: f64,
         sigma1: &CMatrix,
         sigma2: &CMatrix,
+        shard: &mut TelemetryShard,
     ) -> Result<SpectralBlocks, NegfError> {
-        telemetry::counter_inc("negf.rgf.calls");
-        telemetry::counter_add("negf.rgf.sweeps", 2);
+        shard.counter_inc("negf.rgf.calls");
+        shard.counter_add("negf.rgf.sweeps", 2);
         let m = self.layer_dim();
         let nl = self.layers();
         let ez = c64(e, RGF_ETA);
@@ -467,37 +445,13 @@ impl RgfSolver {
     /// Propagates lead and linear-algebra failures.
     pub fn transmission(&self, e: f64) -> Result<f64, NegfError> {
         let (sigma1, sigma2) = self.contact_self_energies(e, &ExecLimits::none())?;
-        self.transmission_with_sigmas(e, &sigma1, &sigma2)
-    }
-
-    /// [`Self::transmission`] with cache-served contact self-energies.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lead and linear-algebra failures.
-    pub fn transmission_cached(
-        &self,
-        e: f64,
-        cache: &SurfaceGfCache,
-        shard: &mut TelemetryShard,
-    ) -> Result<f64, NegfError> {
-        let (sigma1, sigma2) = self.cached_self_energies(cache, e, shard, &ExecLimits::none())?;
-        self.transmission_with_sigmas(e, &sigma1, &sigma2)
-    }
-
-    fn transmission_with_sigmas(
-        &self,
-        e: f64,
-        sigma1: &CMatrix,
-        sigma2: &CMatrix,
-    ) -> Result<f64, NegfError> {
         telemetry::counter_inc("negf.rgf.calls");
         telemetry::counter_add("negf.rgf.sweeps", 1);
         let m = self.layer_dim();
         let nl = self.layers();
         let ez = c64(e, RGF_ETA);
-        let gamma1 = broadening(sigma1);
-        let gamma2 = broadening(sigma2);
+        let gamma1 = broadening(&sigma1);
+        let gamma2 = broadening(&sigma2);
 
         // Left-connected sweep storing only the running surface block, plus
         // the accumulated product needed for G_{L-1,0}.
@@ -509,10 +463,10 @@ impl RgfSolver {
                 d.add_to(i, i, ez);
             }
             if l == 0 {
-                d = &d - sigma1;
+                d = &d - &sigma1;
             }
             if l == nl - 1 {
-                d = &d - sigma2;
+                d = &d - &sigma2;
             }
             if let Some(prev) = &gl_prev {
                 let corr = self.h10.matmul(prev).matmul(&self.h01);
@@ -679,7 +633,7 @@ mod tests {
         for &e in &[0.65, 0.9, 1.1] {
             let legacy = solver.spectral_slice(e, &ExecLimits::none()).unwrap();
             let cached = solver
-                .spectral_slice_cached(e, &cache, &mut shard, &ExecLimits::none())
+                .slice(e, Some(&cache), &mut shard, &ExecLimits::none())
                 .unwrap();
             assert!(
                 (legacy.transmission - cached.transmission).abs() < 1e-6,
@@ -691,7 +645,10 @@ mod tests {
                 assert!((a - b).abs() < 1e-4);
             }
             let t_legacy = solver.transmission(e).unwrap();
-            let t_cached = solver.transmission_cached(e, &cache, &mut shard).unwrap();
+            let t_cached = solver
+                .slice(e, Some(&cache), &mut shard, &ExecLimits::none())
+                .unwrap()
+                .transmission;
             assert!((t_legacy - t_cached).abs() < 1e-6);
         }
         shard.merge_into(&sink);
@@ -720,7 +677,7 @@ mod tests {
         let mut shard = TelemetryShard::for_sink(ctx.telemetry());
         for &e in &energies {
             solver
-                .spectral_slice_cached(e, &cache, &mut shard, &ExecLimits::none())
+                .slice(e, Some(&cache), &mut shard, &ExecLimits::none())
                 .unwrap();
         }
         shard.merge_into(ctx.telemetry());
@@ -777,7 +734,7 @@ mod tests {
         let mut shard = TelemetryShard::for_sink(&sink);
         let legacy = solver.spectral_slice(0.3, &ExecLimits::none()).unwrap();
         let cached = solver
-            .spectral_slice_cached(0.3, &cache, &mut shard, &ExecLimits::none())
+            .slice(0.3, Some(&cache), &mut shard, &ExecLimits::none())
             .unwrap();
         assert_eq!(
             legacy.transmission.to_bits(),

@@ -19,21 +19,19 @@ use gnr_num::budget::ExecLimits;
 use gnr_num::consts::LANDAUER_2E_OVER_H;
 use gnr_num::fermi::fermi;
 use gnr_num::par::ExecCtx;
-use gnr_num::quad::trapezoid_samples;
 use gnr_num::TelemetryShard;
 use std::sync::Arc;
 
-/// A per-energy spectral-function source the transport integrators can
+/// A per-energy spectral-function source [`integrate_transport`] can
 /// drive: the dense real-space [`RgfSolver`] and the reduced
 /// [`ModeSpaceSolver`](crate::mode_space::ModeSpaceSolver) both implement
 /// it, so the Landauer integration, adaptive refinement, and surface-GF
 /// cache plumbing are shared verbatim between the solver paths.
 ///
-/// Contract: [`spectral_slice`](SpectralSolver::spectral_slice) and
-/// [`spectral_slice_cached`](SpectralSolver::spectral_slice_cached) must
-/// return diagonals with exactly [`atoms`](SpectralSolver::atoms) entries,
-/// and every implementation must be deterministic per energy point — the
-/// integrators' ordered merges then keep results bit-identical for any
+/// Contract: [`slice`](SpectralSolver::slice) must return diagonals with
+/// exactly [`atoms`](SpectralSolver::atoms) entries, and every
+/// implementation must be deterministic per energy point — the
+/// integrator's ordered merge then keeps results bit-identical for any
 /// `GNR_THREADS`.
 pub trait SpectralSolver {
     /// Number of atoms (diagonal entries) in the device.
@@ -52,23 +50,19 @@ pub trait SpectralSolver {
         energies: &[f64],
     ) -> Result<usize, NegfError>;
 
-    /// Transmission and spectral-function diagonals at energy `e`.
+    /// Transmission and spectral-function diagonals at energy `e`, with the
+    /// lead self-energies served through `cache` when one is given (fresh
+    /// Sancho–Rubio solves otherwise). Per-energy counters — RGF calls and
+    /// sweeps, cache hits and misses, fallbacks — are recorded on `shard`,
+    /// the caller's worker-local view of its telemetry sink.
     ///
     /// # Errors
     ///
     /// Propagates lead and linear-algebra failures and budget stops.
-    fn spectral_slice(&self, e: f64, limits: &ExecLimits) -> Result<SpectralSlice, NegfError>;
-
-    /// As [`spectral_slice`](SpectralSolver::spectral_slice), with lead
-    /// self-energies served through `cache`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lead and linear-algebra failures and budget stops.
-    fn spectral_slice_cached(
+    fn slice(
         &self,
         e: f64,
-        cache: &SurfaceGfCache,
+        cache: Option<&SurfaceGfCache>,
         shard: &mut TelemetryShard,
         limits: &ExecLimits,
     ) -> Result<SpectralSlice, NegfError>;
@@ -88,18 +82,17 @@ impl SpectralSolver for RgfSolver {
         RgfSolver::prime_surface_cache(self, ctx, cache, energies)
     }
 
-    fn spectral_slice(&self, e: f64, limits: &ExecLimits) -> Result<SpectralSlice, NegfError> {
-        RgfSolver::spectral_slice(self, e, limits)
-    }
-
-    fn spectral_slice_cached(
+    fn slice(
         &self,
         e: f64,
-        cache: &SurfaceGfCache,
+        cache: Option<&SurfaceGfCache>,
         shard: &mut TelemetryShard,
         limits: &ExecLimits,
     ) -> Result<SpectralSlice, NegfError> {
-        RgfSolver::spectral_slice_cached(self, e, cache, shard, limits)
+        let (sigma1, sigma2) = self.self_energies(e, cache, shard, limits)?;
+        Ok(self
+            .spectral_blocks_with_sigmas(e, &sigma1, &sigma2, shard)?
+            .into_slice())
     }
 }
 
@@ -116,12 +109,13 @@ impl EnergyGrid {
     ///
     /// # Errors
     ///
-    /// Returns [`NegfError::Config`] for a degenerate range or fewer than
-    /// two points.
+    /// Returns [`NegfError::Config`] for a non-finite or degenerate range
+    /// or fewer than two points.
     pub fn new(lo: f64, hi: f64, points: usize) -> Result<Self, NegfError> {
-        if hi.is_nan() || lo.is_nan() || hi <= lo {
+        // A finite span also keeps `step()` finite (and so every energy).
+        if !(hi - lo).is_finite() || hi <= lo {
             return Err(NegfError::Config {
-                detail: format!("energy range [{lo}, {hi}] is empty"),
+                detail: format!("energy range [{lo}, {hi}] must be finite and non-empty"),
             });
         }
         if points < 2 {
@@ -138,16 +132,17 @@ impl EnergyGrid {
     ///
     /// # Errors
     ///
-    /// Returns [`NegfError::Config`] for a degenerate range or a
-    /// non-positive step.
+    /// Returns [`NegfError::Config`] for a non-finite or degenerate range
+    /// or a non-positive step.
     pub fn with_step(lo: f64, hi: f64, step_ev: f64) -> Result<Self, NegfError> {
         if step_ev.is_nan() || step_ev <= 0.0 {
             return Err(NegfError::Config {
                 detail: format!("energy step {step_ev} must be positive"),
             });
         }
+        // An infinite span saturates the cast; `new` then rejects the range.
         let intervals = (((hi - lo) / step_ev).round() as usize).max(1);
-        EnergyGrid::new(lo, hi, intervals + 1)
+        EnergyGrid::new(lo, hi, intervals.saturating_add(1))
     }
 
     /// Grid spacing (eV).
@@ -237,105 +232,9 @@ struct EnergySample {
     shard: TelemetryShard,
 }
 
-/// Integrates current and charge for the device bound to `solver`, with
-/// source/drain Fermi levels `mu1`/`mu2` (eV), temperature `t_kelvin`, and
-/// the per-atom local midgap reference `neutral_ev` that splits electron
-/// from hole occupation (normally the local electrostatic potential).
-///
-/// The energy loop runs on `ctx`'s thread pool: each grid point's RGF
-/// spectral slice is independent, and the per-energy contributions are
-/// merged serially in energy order, so the result is bit-identical to the
-/// serial loop for any thread count.
-///
-/// # Errors
-///
-/// Propagates RGF failures, and returns [`NegfError::Config`] if
-/// `neutral_ev` has the wrong length.
-pub fn integrate_transport<S: SpectralSolver + Sync>(
-    ctx: &ExecCtx,
-    solver: &S,
-    grid: &EnergyGrid,
-    mu1: f64,
-    mu2: f64,
-    t_kelvin: f64,
-    neutral_ev: &[f64],
-) -> Result<TransportResult, NegfError> {
-    let atoms = solver.atoms();
-    if neutral_ev.len() != atoms {
-        return Err(NegfError::Config {
-            detail: format!(
-                "neutral point has {} entries for {} atoms",
-                neutral_ev.len(),
-                atoms
-            ),
-        });
-    }
-    let two_pi = 2.0 * std::f64::consts::PI;
-    let de = grid.step();
-    ctx.counter_inc("negf.transport.integrations");
-
-    let samples =
-        ctx.try_par_map_indexed(grid.len(), |idx| -> Result<EnergySample, NegfError> {
-            ctx.check_budget("negf.energy_point")?;
-            let mut shard = TelemetryShard::for_sink(ctx.telemetry());
-            let e = grid.energy(idx);
-            let slice = solver.spectral_slice(e, ctx.limits())?;
-            shard.counter_inc("negf.energy_points");
-            let f1 = fermi(e, mu1, t_kelvin);
-            let f2 = fermi(e, mu2, t_kelvin);
-            let mut filled = Vec::with_capacity(atoms);
-            let mut empty = Vec::with_capacity(atoms);
-            let mut dos = 0.0;
-            for i in 0..atoms {
-                filled.push(slice.a1_diag[i] * f1 + slice.a2_diag[i] * f2);
-                empty.push(slice.a1_diag[i] * (1.0 - f1) + slice.a2_diag[i] * (1.0 - f2));
-                dos += slice.a1_diag[i] + slice.a2_diag[i];
-            }
-            Ok(EnergySample {
-                e,
-                transmission: slice.transmission,
-                kernel: slice.transmission * (f1 - f2),
-                dos,
-                filled,
-                empty,
-                shard,
-            })
-        })?;
-
-    // Ordered serial merge: identical accumulation order and arithmetic to
-    // the original serial energy loop (telemetry shards included).
-    let mut t_of_e = Vec::with_capacity(grid.len());
-    let mut current_kernel = Vec::with_capacity(grid.len());
-    let mut electrons = vec![0.0; atoms];
-    let mut holes = vec![0.0; atoms];
-    for s in samples {
-        t_of_e.push((s.e, s.transmission));
-        current_kernel.push(s.kernel);
-        for i in 0..atoms {
-            if s.e >= neutral_ev[i] {
-                electrons[i] += s.filled[i] / two_pi * de;
-            } else {
-                holes[i] += s.empty[i] / two_pi * de;
-            }
-        }
-        s.shard.merge_into(ctx.telemetry());
-    }
-    let current_a = LANDAUER_2E_OVER_H * trapezoid_samples(&current_kernel, de);
-    let net: Vec<f64> = holes.iter().zip(&electrons).map(|(p, n)| p - n).collect();
-    Ok(TransportResult {
-        current_a,
-        transmission: t_of_e,
-        charge: ChargeProfile {
-            net,
-            electrons,
-            holes,
-        },
-    })
-}
-
 /// Adaptive-refinement controls for the transport energy grid.
 ///
-/// Starting from the caller's (coarse) base [`EnergyGrid`], every interval
+/// Starting from the caller's (coarse) base energy lattice, every interval
 /// whose endpoint transmissions differ by more than `tol_t` is bisected,
 /// round after round, until nothing exceeds the tolerance, `max_depth`
 /// rounds have run (each round halves flagged intervals once, so no
@@ -371,31 +270,17 @@ impl Default for RefineOptions {
     }
 }
 
-/// Toggles for the transport acceleration layer. The default (no refine,
-/// no cache) routes through the exact legacy uniform-grid path, so A/B
-/// pinning against the unaccelerated integrator is always available.
+/// Options of [`integrate_transport`]. The default integrates on exactly
+/// the caller's energies with fresh Sancho–Rubio lead solves per point.
 #[derive(Clone, Debug, Default)]
 pub struct TransportOptions {
-    /// Adaptive energy-grid refinement; `None` keeps the uniform grid.
+    /// Adaptive energy-grid refinement; `None` keeps the caller's energies.
     pub refine: Option<RefineOptions>,
     /// Shared surface-GF cache; `None` solves Sancho–Rubio per energy.
     pub cache: Option<Arc<SurfaceGfCache>>,
 }
 
 impl TransportOptions {
-    /// The exact legacy path (uniform grid, fresh Sancho–Rubio solves).
-    pub fn legacy() -> Self {
-        TransportOptions::default()
-    }
-
-    /// Cache plus default adaptive refinement — the bias-sweep fast path.
-    pub fn accelerated(cache: Arc<SurfaceGfCache>) -> Self {
-        TransportOptions {
-            refine: Some(RefineOptions::default()),
-            cache: Some(cache),
-        }
-    }
-
     /// Sets (or replaces) the refinement controls.
     pub fn with_refine(mut self, refine: RefineOptions) -> Self {
         self.refine = Some(refine);
@@ -409,99 +294,53 @@ impl TransportOptions {
     }
 }
 
-/// Evaluates one batch of energies on the pool (index-ordered), optionally
-/// through the surface-GF cache. Shards ride inside the samples and are
-/// merged by the caller in batch order.
-#[allow(clippy::too_many_arguments)]
-fn eval_samples<S: SpectralSolver + Sync>(
-    ctx: &ExecCtx,
-    solver: &S,
-    energies: &[f64],
-    cache: Option<&SurfaceGfCache>,
-    mu1: f64,
-    mu2: f64,
-    t_kelvin: f64,
-    atoms: usize,
-) -> Result<Vec<EnergySample>, NegfError> {
-    ctx.try_par_map_indexed(energies.len(), |idx| -> Result<EnergySample, NegfError> {
-        ctx.check_budget("negf.energy_point")?;
-        let mut shard = TelemetryShard::for_sink(ctx.telemetry());
-        let e = energies[idx];
-        let slice = match cache {
-            Some(c) => solver.spectral_slice_cached(e, c, &mut shard, ctx.limits())?,
-            None => solver.spectral_slice(e, ctx.limits())?,
-        };
-        shard.counter_inc("negf.energy_points");
-        let f1 = fermi(e, mu1, t_kelvin);
-        let f2 = fermi(e, mu2, t_kelvin);
-        let mut filled = Vec::with_capacity(atoms);
-        let mut empty = Vec::with_capacity(atoms);
-        let mut dos = 0.0;
-        for i in 0..atoms {
-            filled.push(slice.a1_diag[i] * f1 + slice.a2_diag[i] * f2);
-            empty.push(slice.a1_diag[i] * (1.0 - f1) + slice.a2_diag[i] * (1.0 - f2));
-            dos += slice.a1_diag[i] + slice.a2_diag[i];
-        }
-        Ok(EnergySample {
-            e,
-            transmission: slice.transmission,
-            kernel: slice.transmission * (f1 - f2),
-            dos,
-            filled,
-            empty,
-            shard,
-        })
-    })
-}
-
-/// Merges two energy-ascending sample runs into one (stable two-pointer
-/// merge; midpoints interleave between their parent endpoints).
-fn merge_by_energy(a: Vec<EnergySample>, b: Vec<EnergySample>) -> Vec<EnergySample> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let mut ib = b.into_iter().peekable();
-    for s in a {
-        while ib.peek().is_some_and(|m| m.e < s.e) {
-            out.push(ib.next().expect("peeked"));
-        }
-        out.push(s);
-    }
-    out.extend(ib);
-    out
-}
-
-/// [`integrate_transport`] with the acceleration layer toggles. With
-/// default (empty) options this *is* the legacy integrator — same code
-/// path, bit-identical results. With `opts.cache` set, Sancho–Rubio lead
-/// solves are served from the shared bias-sweep cache (priming any missing
-/// base-grid entries through the serial pre-indexing path first). With
-/// `opts.refine` set, `grid` is treated as the coarse base lattice and
-/// intervals where `T(E)` jumps by more than the tolerance are bisected;
-/// current and charge then integrate on the resulting non-uniform grid
-/// (trapezoid weights), and the refinement telemetry lands on
-/// `negf.transport.refined_points` / `refine_rounds`.
+/// Integrates current and charge for the device bound to `solver`, with
+/// source/drain Fermi levels `mu1`/`mu2` (eV), temperature `t_kelvin`, and
+/// the per-atom local midgap reference `neutral_ev` that splits electron
+/// from hole occupation (normally the local electrostatic potential).
 ///
+/// `energies` is a strictly ascending list of at least two finite
+/// energies (eV): a uniform [`EnergyGrid`], or the energies of an earlier
+/// [`TransportResult::transmission`] (an SCF loop that refined its grid on
+/// the first iteration re-integrates on exactly that grid afterwards, which
+/// keeps the charge a *continuous* function of the potential —
+/// re-refining each iteration flips intervals across the tolerance and
+/// turns the fixed point into a limit cycle).
+///
+/// * Without `opts.refine` the integrals run on exactly `energies`. With it,
+///   `energies` is the coarse base lattice and intervals where `T(E)` or
+///   the spectral weight jumps are bisected per [`RefineOptions`]; the
+///   refinement telemetry lands on `negf.transport.refined_points` /
+///   `refine_rounds`.
+/// * With `opts.cache` set, Sancho–Rubio lead solves are served from the
+///   shared bias-sweep cache, priming any missing entries through the
+///   serial pre-indexing path first.
+///
+/// Current and charge both use trapezoid weights on the final sample run,
+/// uniform or not. The energy loop runs on `ctx`'s thread pool: each
+/// point's spectral slice is independent, and the per-energy contributions
+/// (telemetry shards included) are merged serially in energy order, so
+/// results and counters are bit-identical for any thread count.
 /// Refinement midpoints are deduplicated by construction (each round
-/// bisects disjoint intervals), so cache hit/miss counters stay
-/// bit-identical across `GNR_THREADS=1/2/4`.
+/// bisects disjoint intervals), so the cache hit/miss counters stay
+/// thread-count invariant too.
 ///
 /// # Errors
 ///
-/// Propagates RGF failures, and returns [`NegfError::Config`] if
-/// `neutral_ev` has the wrong length.
+/// Propagates RGF failures; returns [`NegfError::Config`] for fewer than
+/// two energies, a non-finite or non-ascending energy, or a wrong-length
+/// `neutral_ev`.
 #[allow(clippy::too_many_arguments)]
-pub fn integrate_transport_with<S: SpectralSolver + Sync>(
+pub fn integrate_transport<S: SpectralSolver + Sync>(
     ctx: &ExecCtx,
     solver: &S,
-    grid: &EnergyGrid,
+    energies: &[f64],
     opts: &TransportOptions,
     mu1: f64,
     mu2: f64,
     t_kelvin: f64,
     neutral_ev: &[f64],
 ) -> Result<TransportResult, NegfError> {
-    if opts.refine.is_none() && opts.cache.is_none() {
-        return integrate_transport(ctx, solver, grid, mu1, mu2, t_kelvin, neutral_ev);
-    }
     let atoms = solver.atoms();
     if neutral_ev.len() != atoms {
         return Err(NegfError::Config {
@@ -512,18 +351,26 @@ pub fn integrate_transport_with<S: SpectralSolver + Sync>(
             ),
         });
     }
+    // Finiteness first: an ordering test alone lets NaN through.
+    if energies.len() < 2
+        || energies.iter().any(|e| !e.is_finite())
+        || energies.windows(2).any(|w| w[1] <= w[0])
+    {
+        return Err(NegfError::Config {
+            detail: "transport energies must be >= 2 finite, strictly ascending points".into(),
+        });
+    }
     ctx.counter_inc("negf.transport.integrations");
 
-    let base: Vec<f64> = grid.energies().collect();
-    if let Some(cache) = &opts.cache {
-        solver.prime_surface_cache(ctx, cache, &base)?;
-    }
     let cache = opts.cache.as_deref();
-    let mut samples = eval_samples(ctx, solver, &base, cache, mu1, mu2, t_kelvin, atoms)?;
+    if let Some(c) = cache {
+        solver.prime_surface_cache(ctx, c, energies)?;
+    }
+    let mut samples = eval_samples(ctx, solver, energies, cache, mu1, mu2, t_kelvin, atoms)?;
 
-    let mut refined_points = 0u64;
-    let mut rounds = 0u64;
     if let Some(refine) = opts.refine {
+        let mut refined_points = 0u64;
+        let mut rounds = 0u64;
         // Fixed from the base grid (not per round) so the refinement
         // trajectory is independent of what earlier rounds discovered.
         let dos_floor = 0.01 * samples.iter().map(|s| s.dos).fold(0.0, f64::max);
@@ -561,6 +408,63 @@ pub fn integrate_transport_with<S: SpectralSolver + Sync>(
     }
 
     Ok(merge_samples(ctx, samples, neutral_ev, atoms))
+}
+
+/// Evaluates one batch of energies on the pool (index-ordered), optionally
+/// through the surface-GF cache. Shards ride inside the samples and are
+/// merged by the caller in batch order.
+#[allow(clippy::too_many_arguments)]
+fn eval_samples<S: SpectralSolver + Sync>(
+    ctx: &ExecCtx,
+    solver: &S,
+    energies: &[f64],
+    cache: Option<&SurfaceGfCache>,
+    mu1: f64,
+    mu2: f64,
+    t_kelvin: f64,
+    atoms: usize,
+) -> Result<Vec<EnergySample>, NegfError> {
+    ctx.try_par_map_indexed(energies.len(), |idx| -> Result<EnergySample, NegfError> {
+        ctx.check_budget("negf.energy_point")?;
+        let mut shard = TelemetryShard::for_sink(ctx.telemetry());
+        let e = energies[idx];
+        let slice = solver.slice(e, cache, &mut shard, ctx.limits())?;
+        shard.counter_inc("negf.energy_points");
+        let f1 = fermi(e, mu1, t_kelvin);
+        let f2 = fermi(e, mu2, t_kelvin);
+        let mut filled = Vec::with_capacity(atoms);
+        let mut empty = Vec::with_capacity(atoms);
+        let mut dos = 0.0;
+        for i in 0..atoms {
+            filled.push(slice.a1_diag[i] * f1 + slice.a2_diag[i] * f2);
+            empty.push(slice.a1_diag[i] * (1.0 - f1) + slice.a2_diag[i] * (1.0 - f2));
+            dos += slice.a1_diag[i] + slice.a2_diag[i];
+        }
+        Ok(EnergySample {
+            e,
+            transmission: slice.transmission,
+            kernel: slice.transmission * (f1 - f2),
+            dos,
+            filled,
+            empty,
+            shard,
+        })
+    })
+}
+
+/// Merges two energy-ascending sample runs into one (stable two-pointer
+/// merge; midpoints interleave between their parent endpoints).
+fn merge_by_energy(a: Vec<EnergySample>, b: Vec<EnergySample>) -> Vec<EnergySample> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let mut ib = b.into_iter().peekable();
+    for s in a {
+        while ib.peek().is_some_and(|m| m.e < s.e) {
+            out.push(ib.next().expect("peeked"));
+        }
+        out.push(s);
+    }
+    out.extend(ib);
+    out
 }
 
 /// Ordered serial merge on a (possibly non-uniform) energy-ascending
@@ -609,67 +513,6 @@ fn merge_samples(
     }
 }
 
-/// Transport on an explicit, energy-ascending sample list — the "frozen
-/// grid" companion to adaptive refinement. An SCF loop that refined its
-/// grid on the first iteration can re-integrate on exactly that grid for
-/// every later iteration (energies come straight from
-/// [`TransportResult::transmission`]), keeping the charge a *continuous*
-/// function of the potential: re-deriving the refinement set each
-/// iteration makes the charge jump whenever an interval flips across the
-/// tolerance, and the self-consistent fixed point turns into a limit
-/// cycle.
-///
-/// Only `opts.cache` is honored (`opts.refine` is ignored — the grid is
-/// the caller's). Integration uses the same non-uniform trapezoid weights
-/// as the refined path.
-///
-/// # Errors
-///
-/// Propagates RGF failures; returns [`NegfError::Config`] for an empty or
-/// unsorted energy list, or a wrong-length `neutral_ev`.
-#[allow(clippy::too_many_arguments)]
-pub fn integrate_transport_frozen<S: SpectralSolver + Sync>(
-    ctx: &ExecCtx,
-    solver: &S,
-    energies: &[f64],
-    opts: &TransportOptions,
-    mu1: f64,
-    mu2: f64,
-    t_kelvin: f64,
-    neutral_ev: &[f64],
-) -> Result<TransportResult, NegfError> {
-    let atoms = solver.atoms();
-    if neutral_ev.len() != atoms {
-        return Err(NegfError::Config {
-            detail: format!(
-                "neutral point has {} entries for {} atoms",
-                neutral_ev.len(),
-                atoms
-            ),
-        });
-    }
-    if energies.len() < 2 || energies.windows(2).any(|w| w[1] <= w[0]) {
-        return Err(NegfError::Config {
-            detail: "frozen energy grid must be >= 2 strictly ascending points".into(),
-        });
-    }
-    ctx.counter_inc("negf.transport.integrations");
-    if let Some(cache) = &opts.cache {
-        solver.prime_surface_cache(ctx, cache, energies)?;
-    }
-    let samples = eval_samples(
-        ctx,
-        solver,
-        energies,
-        opts.cache.as_deref(),
-        mu1,
-        mu2,
-        t_kelvin,
-        atoms,
-    )?;
-    Ok(merge_samples(ctx, samples, neutral_ev, atoms))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -684,6 +527,23 @@ mod tests {
 
     fn ctx() -> ExecCtx {
         ExecCtx::serial()
+    }
+
+    /// [`integrate_transport`] on exactly the uniform `grid`, no cache.
+    fn uniform(
+        ctx: &ExecCtx,
+        solver: &RgfSolver,
+        grid: &EnergyGrid,
+        mu1: f64,
+        mu2: f64,
+        t_kelvin: f64,
+        neutral_ev: &[f64],
+    ) -> Result<TransportResult, NegfError> {
+        let energies: Vec<f64> = grid.energies().collect();
+        let opts = TransportOptions::default();
+        integrate_transport(
+            ctx, solver, &energies, &opts, mu1, mu2, t_kelvin, neutral_ev,
+        )
     }
 
     #[test]
@@ -704,9 +564,9 @@ mod tests {
         let grid = EnergyGrid::new(0.4, 1.4, 37).unwrap();
         let atoms = solver.layers() * solver.layer_dim();
         let zeros = vec![0.0; atoms];
-        let serial = integrate_transport(&ctx(), &solver, &grid, 1.0, 0.8, 300.0, &zeros).unwrap();
+        let serial = uniform(&ctx(), &solver, &grid, 1.0, 0.8, 300.0, &zeros).unwrap();
         for threads in [2, 4] {
-            let par = integrate_transport(
+            let par = uniform(
                 &ExecCtx::with_threads(threads),
                 &solver,
                 &grid,
@@ -733,6 +593,38 @@ mod tests {
         let g = EnergyGrid::new(0.0, 1.0, 11).unwrap();
         assert_eq!(g.len(), 11);
         assert!((g.step() - 0.1).abs() < 1e-14);
+        // Non-finite bounds would make `step()` infinite and the energies
+        // NaN (−∞ + ∞·0); an overflowing span does the same.
+        for (lo, hi) in [
+            (f64::NEG_INFINITY, 0.0),
+            (0.0, f64::INFINITY),
+            (f64::NEG_INFINITY, f64::INFINITY),
+            (f64::NAN, 1.0),
+            (0.0, f64::NAN),
+            (-f64::MAX, f64::MAX),
+        ] {
+            assert!(EnergyGrid::new(lo, hi, 10).is_err(), "[{lo}, {hi}]");
+        }
+        assert!(EnergyGrid::with_step(f64::NEG_INFINITY, 0.0, 0.1).is_err());
+        // The integrator rejects non-finite, unsorted, and too-short
+        // energy lists before solving anything.
+        let solver = ideal(9, 3);
+        let zeros = vec![0.0; solver.layers() * solver.layer_dim()];
+        let opts = TransportOptions::default();
+        for energies in [
+            vec![0.1, f64::NAN, 0.3],
+            vec![f64::NEG_INFINITY, 0.2],
+            vec![0.1, f64::INFINITY],
+            vec![0.2, 0.1],
+            vec![0.1, 0.1],
+            vec![0.1],
+        ] {
+            let r = integrate_transport(&ctx(), &solver, &energies, &opts, 0.0, 0.0, 300.0, &zeros);
+            assert!(
+                matches!(r, Err(NegfError::Config { .. })),
+                "{energies:?} must be a config error"
+            );
+        }
     }
 
     #[test]
@@ -740,8 +632,7 @@ mod tests {
         let solver = ideal(9, 3);
         let grid = EnergyGrid::new(0.5, 1.2, 30).unwrap();
         let atoms = solver.layers() * solver.layer_dim();
-        let r = integrate_transport(&ctx(), &solver, &grid, 0.3, 0.3, 300.0, &vec![0.0; atoms])
-            .unwrap();
+        let r = uniform(&ctx(), &solver, &grid, 0.3, 0.3, 300.0, &vec![0.0; atoms]).unwrap();
         assert!(r.current_a.abs() < 1e-12);
     }
 
@@ -756,8 +647,7 @@ mod tests {
         let mu2 = mu1 - v;
         let grid = EnergyGrid::new(mu2 - 0.25, mu1 + 0.25, 160).unwrap();
         let atoms = solver.layers() * solver.layer_dim();
-        let r =
-            integrate_transport(&ctx(), &solver, &grid, mu1, mu2, 77.0, &vec![0.0; atoms]).unwrap();
+        let r = uniform(&ctx(), &solver, &grid, mu1, mu2, 77.0, &vec![0.0; atoms]).unwrap();
         let g0 = gnr_num::consts::G_QUANTUM;
         let g = r.current_a / v;
         assert!((g - g0).abs() / g0 < 0.05, "G = {g} vs G0 = {g0}");
@@ -769,8 +659,8 @@ mod tests {
         let grid = EnergyGrid::new(0.4, 1.4, 60).unwrap();
         let atoms = solver.layers() * solver.layer_dim();
         let zeros = vec![0.0; atoms];
-        let fwd = integrate_transport(&ctx(), &solver, &grid, 1.0, 0.8, 300.0, &zeros).unwrap();
-        let rev = integrate_transport(&ctx(), &solver, &grid, 0.8, 1.0, 300.0, &zeros).unwrap();
+        let fwd = uniform(&ctx(), &solver, &grid, 1.0, 0.8, 300.0, &zeros).unwrap();
+        let rev = uniform(&ctx(), &solver, &grid, 0.8, 1.0, 300.0, &zeros).unwrap();
         assert!(fwd.current_a > 0.0);
         assert!((fwd.current_a + rev.current_a).abs() < 1e-9 * fwd.current_a.abs().max(1e-18));
     }
@@ -781,8 +671,7 @@ mod tests {
         let solver = ideal(12, 4);
         let grid = EnergyGrid::new(-1.5, 1.5, 120).unwrap();
         let atoms = solver.layers() * solver.layer_dim();
-        let r = integrate_transport(&ctx(), &solver, &grid, 0.0, 0.0, 300.0, &vec![0.0; atoms])
-            .unwrap();
+        let r = uniform(&ctx(), &solver, &grid, 0.0, 0.0, 300.0, &vec![0.0; atoms]).unwrap();
         // Integration-window truncation leaves a small residual; net charge
         // per atom should be tiny compared to the separate e/h populations.
         let n_tot: f64 = r.charge.electrons.iter().sum();
@@ -799,8 +688,8 @@ mod tests {
         let grid = EnergyGrid::new(-1.5, 1.5, 120).unwrap();
         let atoms = solver.layers() * solver.layer_dim();
         let zeros = vec![0.0; atoms];
-        let neutral = integrate_transport(&ctx(), &solver, &grid, 0.0, 0.0, 300.0, &zeros).unwrap();
-        let ntype = integrate_transport(&ctx(), &solver, &grid, 0.5, 0.5, 300.0, &zeros).unwrap();
+        let neutral = uniform(&ctx(), &solver, &grid, 0.0, 0.0, 300.0, &zeros).unwrap();
+        let ntype = uniform(&ctx(), &solver, &grid, 0.5, 0.5, 300.0, &zeros).unwrap();
         assert!(ntype.charge.total() < neutral.charge.total() - 0.01);
     }
 
@@ -809,8 +698,7 @@ mod tests {
         let solver = ideal(9, 3);
         let grid = EnergyGrid::new(-1.2, 1.2, 60).unwrap();
         let atoms = solver.layers() * solver.layer_dim();
-        let r = integrate_transport(&ctx(), &solver, &grid, 0.2, 0.0, 300.0, &vec![0.0; atoms])
-            .unwrap();
+        let r = uniform(&ctx(), &solver, &grid, 0.2, 0.0, 300.0, &vec![0.0; atoms]).unwrap();
         let per_layer = r.charge.per_layer(solver.layer_dim());
         assert_eq!(per_layer.len(), 3);
         let s: f64 = per_layer.iter().sum();
@@ -821,7 +709,7 @@ mod tests {
     fn neutral_length_validated() {
         let solver = ideal(9, 3);
         let grid = EnergyGrid::new(0.0, 1.0, 10).unwrap();
-        assert!(integrate_transport(&ctx(), &solver, &grid, 0.0, 0.0, 300.0, &[0.0; 3]).is_err());
+        assert!(uniform(&ctx(), &solver, &grid, 0.0, 0.0, 300.0, &[0.0; 3]).is_err());
     }
 
     #[test]
@@ -836,49 +724,27 @@ mod tests {
     }
 
     #[test]
-    fn default_options_route_through_legacy_bitwise() {
-        let solver = ideal(9, 3);
-        let grid = EnergyGrid::new(0.4, 1.4, 31).unwrap();
-        let atoms = solver.layers() * solver.layer_dim();
-        let zeros = vec![0.0; atoms];
-        let legacy = integrate_transport(&ctx(), &solver, &grid, 1.0, 0.8, 300.0, &zeros).unwrap();
-        let via_opts = integrate_transport_with(
-            &ctx(),
-            &solver,
-            &grid,
-            &TransportOptions::legacy(),
-            1.0,
-            0.8,
-            300.0,
-            &zeros,
-        )
-        .unwrap();
-        assert_eq!(legacy.current_a.to_bits(), via_opts.current_a.to_bits());
-        assert_eq!(legacy.transmission, via_opts.transmission);
-        assert_eq!(legacy.charge, via_opts.charge);
-    }
-
-    #[test]
-    fn cached_uniform_matches_legacy_closely() {
+    fn cached_uniform_matches_uncached_closely() {
         // Cache-served sigmas differ from fresh ones only through the key
         // snapping (≤ half a quantum ≈ 6e-8 eV), far below eta.
         let solver = ideal(9, 4);
         let grid = EnergyGrid::new(0.4, 1.4, 41).unwrap();
+        let energies: Vec<f64> = grid.energies().collect();
         let atoms = solver.layers() * solver.layer_dim();
         let zeros = vec![0.0; atoms];
-        let legacy = integrate_transport(&ctx(), &solver, &grid, 1.0, 0.8, 300.0, &zeros).unwrap();
-        let opts = TransportOptions::legacy().with_cache(Arc::new(SurfaceGfCache::new()));
+        let fresh = uniform(&ctx(), &solver, &grid, 1.0, 0.8, 300.0, &zeros).unwrap();
+        let opts = TransportOptions::default().with_cache(Arc::new(SurfaceGfCache::new()));
         let cached =
-            integrate_transport_with(&ctx(), &solver, &grid, &opts, 1.0, 0.8, 300.0, &zeros)
+            integrate_transport(&ctx(), &solver, &energies, &opts, 1.0, 0.8, 300.0, &zeros)
                 .unwrap();
-        let scale = legacy.current_a.abs().max(1e-18);
+        let scale = fresh.current_a.abs().max(1e-18);
         assert!(
-            (legacy.current_a - cached.current_a).abs() / scale < 1e-6,
-            "legacy {} cached {}",
-            legacy.current_a,
+            (fresh.current_a - cached.current_a).abs() / scale < 1e-6,
+            "fresh {} cached {}",
+            fresh.current_a,
             cached.current_a
         );
-        for (l, c) in legacy.transmission.iter().zip(&cached.transmission) {
+        for (l, c) in fresh.transmission.iter().zip(&cached.transmission) {
             assert_eq!(l.0.to_bits(), c.0.to_bits());
             assert!((l.1 - c.1).abs() < 1e-6);
         }
@@ -895,17 +761,18 @@ mod tests {
         let zeros = vec![0.0; atoms];
         let (mu1, mu2) = (ec + 0.12, ec - 0.08);
         let dense = EnergyGrid::new(ec - 0.3, ec + 0.3, 241).unwrap();
-        let reference =
-            integrate_transport(&ctx(), &solver, &dense, mu1, mu2, 300.0, &zeros).unwrap();
-        let coarse = EnergyGrid::new(ec - 0.3, ec + 0.3, 16).unwrap();
-        let opts = TransportOptions::legacy().with_refine(RefineOptions {
+        let reference = uniform(&ctx(), &solver, &dense, mu1, mu2, 300.0, &zeros).unwrap();
+        let coarse: Vec<f64> = EnergyGrid::new(ec - 0.3, ec + 0.3, 16)
+            .unwrap()
+            .energies()
+            .collect();
+        let opts = TransportOptions::default().with_refine(RefineOptions {
             tol_t: 0.02,
             max_depth: 7,
             ..RefineOptions::default()
         });
         let adaptive =
-            integrate_transport_with(&ctx(), &solver, &coarse, &opts, mu1, mu2, 300.0, &zeros)
-                .unwrap();
+            integrate_transport(&ctx(), &solver, &coarse, &opts, mu1, mu2, 300.0, &zeros).unwrap();
         assert!(
             adaptive.transmission.len() > coarse.len(),
             "refinement must add points"
@@ -925,6 +792,23 @@ mod tests {
         for w in adaptive.transmission.windows(2) {
             assert!(w[1].0 > w[0].0);
         }
+        // Re-integrating on the refined energies without `refine` (the SCF
+        // frozen-grid pattern) reproduces the refined result bit for bit.
+        let frozen: Vec<f64> = adaptive.transmission.iter().map(|&(e, _)| e).collect();
+        let again = integrate_transport(
+            &ctx(),
+            &solver,
+            &frozen,
+            &TransportOptions::default(),
+            mu1,
+            mu2,
+            300.0,
+            &zeros,
+        )
+        .unwrap();
+        assert_eq!(adaptive.current_a.to_bits(), again.current_a.to_bits());
+        assert_eq!(adaptive.transmission, again.transmission);
+        assert_eq!(adaptive.charge, again.charge);
     }
 
     #[test]
@@ -934,14 +818,18 @@ mod tests {
         let solver = ideal(9, 3);
         let atoms = solver.layers() * solver.layer_dim();
         let zeros = vec![0.0; atoms];
-        let grid = EnergyGrid::new(ec - 0.25, ec + 0.25, 14).unwrap();
+        let energies: Vec<f64> = EnergyGrid::new(ec - 0.25, ec + 0.25, 14)
+            .unwrap()
+            .energies()
+            .collect();
         let run = |threads: usize| {
-            let cache = Arc::new(SurfaceGfCache::new());
-            let opts = TransportOptions::accelerated(cache);
-            integrate_transport_with(
+            let opts = TransportOptions::default()
+                .with_cache(Arc::new(SurfaceGfCache::new()))
+                .with_refine(RefineOptions::default());
+            integrate_transport(
                 &ExecCtx::with_threads(threads),
                 &solver,
-                &grid,
+                &energies,
                 &opts,
                 ec + 0.1,
                 ec - 0.05,

@@ -62,9 +62,10 @@ echo "== tier-1: cargo test -q (offline, whole workspace, GNR_THREADS=4) =="
 GNR_THREADS=4 cargo test --workspace -q --offline
 
 # The workspace pass above already runs these, but they are the named
-# gate for the transport acceleration layer (DESIGN.md §11): physics
-# goldens, transport invariants on every solver path, and the surface-GF
-# cache determinism/fallback contract. sparse_mna (DESIGN.md §12) pins
+# gate for the transport layer (DESIGN.md §11): physics goldens,
+# transport invariants on every solver path, and the surface-GF cache
+# determinism/fallback contract (the NEGF bit pins run on both pool
+# sizes below). sparse_mna (DESIGN.md §12) pins
 # the sparse MNA backend against the legacy dense path; mode_space
 # (DESIGN.md §15) pins the reduced transform's algebra, fallback
 # bit-identity, and pool-size determinism.
@@ -105,13 +106,16 @@ GNR_THREADS=1 cargo test -q --offline \
 GNR_THREADS=4 cargo test -q --offline \
   --test netlist_conformance --test netlist_parser --test circuit_zoo
 
-# Transient-step golden pins (DESIGN.md §12.1): FO4 metrics at two
-# (V_DD, V_T) corners, a trapezoidal FO4 waveform and a 3x3 design-space
-# map, pinned as f64 bit patterns. Named on both pool sizes because the
-# pinned bits must be thread-count invariant.
-echo "== tier-1: transient-step golden pins (GNR_THREADS=1 and 4) =="
-GNR_THREADS=1 cargo test -q --offline --test transient_pins
-GNR_THREADS=4 cargo test -q --offline --test transient_pins
+# Golden pins, as f64 bit patterns. Transient step (DESIGN.md §12.1):
+# FO4 metrics at two (V_DD, V_T) corners, a trapezoidal FO4 waveform and
+# a 3x3 design-space map. NEGF transport integrator (DESIGN.md §11): the
+# accelerated and mode-space 4x4 tables, an adaptive SCF bias point, the
+# warm-started uniform SCF table, and per-energy counters on an isolated
+# sink. Named on both pool sizes because the pinned bits must be
+# thread-count invariant.
+echo "== tier-1: transient-step and NEGF golden pins (GNR_THREADS=1 and 4) =="
+GNR_THREADS=1 cargo test -q --offline --test transient_pins --test negf_pins
+GNR_THREADS=4 cargo test -q --offline --test transient_pins --test negf_pins
 
 if [ "$TIER" = "1" ]; then
   echo "verify: tier-1 checks passed"

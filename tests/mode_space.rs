@@ -16,6 +16,7 @@ use gnrlab::negf::{Lead, ModeBasis, ModeSpaceOptions, ModeSpaceSolver, RgfSolver
 use gnrlab::num::budget::ExecLimits;
 use gnrlab::num::fault::{self, FaultPlan};
 use gnrlab::num::par::ExecCtx;
+use gnrlab::num::TelemetryShard;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 const N: usize = 9;
@@ -104,7 +105,10 @@ fn flat_band_reduced_solve_matches_real_space_spectrum() {
     let limits = ExecLimits::none();
     for e in [-0.7, -0.45, -0.2, 0.25, 0.5, 0.75] {
         let t_full = full.spectral_slice(e, &limits).unwrap().transmission;
-        let t_mode = solver.spectral_slice(e, &limits).unwrap().transmission;
+        let t_mode = solver
+            .slice(e, None, &mut TelemetryShard::inactive(), &limits)
+            .unwrap()
+            .transmission;
         assert!(
             (t_full - t_mode).abs() < 1e-8 * (1.0 + t_full.abs()),
             "T({e}): real-space {t_full:.12} vs mode-space {t_mode:.12}"
@@ -113,7 +117,10 @@ fn flat_band_reduced_solve_matches_real_space_spectrum() {
     // Mid-gap transport is evanescent: the dropped modes carry part of the
     // decaying tail, so equality there is only up to the (negligible)
     // tunneling floor — well below the 1e-6 A current conformance.
-    let t_gap = solver.spectral_slice(0.0, &limits).unwrap().transmission;
+    let t_gap = solver
+        .slice(0.0, None, &mut TelemetryShard::inactive(), &limits)
+        .unwrap()
+        .transmission;
     assert!(
         t_gap.abs() < 1e-5,
         "mid-gap T = {t_gap:.3e} must be negligible"
@@ -142,7 +149,9 @@ fn forced_fallback_is_bit_identical_to_real_space() {
     let outcome = std::panic::catch_unwind(|| {
         for e in [-0.5, 0.1, 0.6] {
             let reference = full.spectral_slice(e, &limits).unwrap();
-            let fallback = solver.spectral_slice(e, &limits).unwrap();
+            let fallback = solver
+                .slice(e, None, &mut TelemetryShard::inactive(), &limits)
+                .unwrap();
             assert_slices_bit_identical(&reference, &fallback, &format!("E = {e}"));
         }
         fault::injection_count(FALLBACK_SITE)
@@ -181,7 +190,9 @@ fn separability_monitor_degrades_on_intra_layer_potential() {
     let limits = ExecLimits::none();
     for e in [-0.4, 0.3] {
         let reference = full.spectral_slice(e, &limits).unwrap();
-        let degraded = solver.spectral_slice(e, &limits).unwrap();
+        let degraded = solver
+            .slice(e, None, &mut TelemetryShard::inactive(), &limits)
+            .unwrap();
         assert_slices_bit_identical(&reference, &degraded, &format!("degraded E = {e}"));
     }
     // The default tolerance accepts the same device (the defect is small),

@@ -12,9 +12,10 @@
 use gnrlab::lattice::{unit_cell_hamiltonian, AGnr, DeviceHamiltonian};
 use gnrlab::negf::transport::{EnergyGrid, RefineOptions, SpectralSolver, TransportOptions};
 use gnrlab::negf::{
-    integrate_transport, integrate_transport_with, Lead, ModeBasis, ModeSpaceOptions,
-    ModeSpaceSolver, RgfSolver, SurfaceGfCache,
+    integrate_transport, Lead, ModeBasis, ModeSpaceOptions, ModeSpaceSolver, RgfSolver,
+    SurfaceGfCache,
 };
+use gnrlab::num::budget::ExecLimits;
 use gnrlab::num::par::ExecCtx;
 use gnrlab::num::{Rng, Telemetry, TelemetryShard};
 use std::sync::Arc;
@@ -79,8 +80,9 @@ fn transmission_bounded_by_open_modes_on_both_paths() {
             let bound = open_modes(gnr, e) as f64;
             let t_legacy = solver.transmission(e).expect("legacy solves");
             let t_cached = solver
-                .transmission_cached(e, &cache, &mut shard)
-                .expect("cached solves");
+                .slice(e, Some(&cache), &mut shard, &ExecLimits::none())
+                .expect("cached solves")
+                .transmission;
             for (label, t) in [("legacy", t_legacy), ("cached", t_cached)] {
                 assert!(
                     (-1e-9..=bound + 1e-6).contains(&t),
@@ -104,13 +106,23 @@ fn zero_bias_window_carries_no_current() {
     let (ham, _) = solver_for(&pot);
     let solver = RgfSolver::new(&ham, Lead::gnr_contact(), Lead::gnr_contact());
     let ctx = ExecCtx::serial();
-    let grid = EnergyGrid::new(-0.8, 0.8, 41).unwrap();
+    let grid: Vec<f64> = EnergyGrid::new(-0.8, 0.8, 41).unwrap().energies().collect();
     let mu = 0.12;
-    let legacy = integrate_transport(&ctx, &solver, &grid, mu, mu, 300.0, &pot).unwrap();
-    let opts = TransportOptions::legacy()
+    let legacy = integrate_transport(
+        &ctx,
+        &solver,
+        &grid,
+        &TransportOptions::default(),
+        mu,
+        mu,
+        300.0,
+        &pot,
+    )
+    .unwrap();
+    let opts = TransportOptions::default()
         .with_cache(Arc::new(SurfaceGfCache::new()))
         .with_refine(RefineOptions::default());
-    let accel = integrate_transport_with(&ctx, &solver, &grid, &opts, mu, mu, 300.0, &pot).unwrap();
+    let accel = integrate_transport(&ctx, &solver, &grid, &opts, mu, mu, 300.0, &pot).unwrap();
     // The integrand carries (f1 - f2) per energy point: identically zero.
     assert_eq!(legacy.current_a, 0.0, "legacy leaks at zero bias");
     assert_eq!(accel.current_a, 0.0, "accelerated path leaks at zero bias");
@@ -125,18 +137,16 @@ fn bias_reversal_flips_the_current() {
     let (ham, _) = solver_for(&pot);
     let solver = RgfSolver::new(&ham, Lead::gnr_contact(), Lead::gnr_contact());
     let ctx = ExecCtx::serial();
-    let grid = EnergyGrid::new(-0.8, 0.8, 41).unwrap();
+    let grid: Vec<f64> = EnergyGrid::new(-0.8, 0.8, 41).unwrap().energies().collect();
     let (mu1, mu2) = (0.15, -0.15);
     for opts in [
-        TransportOptions::legacy(),
-        TransportOptions::legacy()
+        TransportOptions::default(),
+        TransportOptions::default()
             .with_cache(Arc::new(SurfaceGfCache::new()))
             .with_refine(RefineOptions::default()),
     ] {
-        let fwd =
-            integrate_transport_with(&ctx, &solver, &grid, &opts, mu1, mu2, 300.0, &pot).unwrap();
-        let rev =
-            integrate_transport_with(&ctx, &solver, &grid, &opts, mu2, mu1, 300.0, &pot).unwrap();
+        let fwd = integrate_transport(&ctx, &solver, &grid, &opts, mu1, mu2, 300.0, &pot).unwrap();
+        let rev = integrate_transport(&ctx, &solver, &grid, &opts, mu2, mu1, 300.0, &pot).unwrap();
         let (i1, i2) = (fwd.current_a, rev.current_a);
         assert!(
             (i1 + i2).abs() <= 1e-9 * i1.abs().max(i2.abs()),
@@ -171,11 +181,13 @@ fn transmission_invariant_under_device_mirror() {
                 "mirror symmetry broke at E = {e}: {tf:.9} vs {tr:.9}"
             );
             let tfc = fwd
-                .transmission_cached(e, &cache, &mut shard)
-                .expect("solves");
+                .slice(e, Some(&cache), &mut shard, &ExecLimits::none())
+                .expect("solves")
+                .transmission;
             let trc = rev
-                .transmission_cached(e, &cache, &mut shard)
-                .expect("solves");
+                .slice(e, Some(&cache), &mut shard, &ExecLimits::none())
+                .expect("solves")
+                .transmission;
             assert!(
                 (tfc - trc).abs() <= 5e-3 * (1.0 + tfc.abs()),
                 "cached mirror symmetry broke at E = {e}: {tfc:.9} vs {trc:.9}"
@@ -187,7 +199,8 @@ fn transmission_invariant_under_device_mirror() {
 #[test]
 fn mode_space_transmission_bounded_and_tracks_real_space() {
     let mut rng = Rng::seed_from_u64(SEED + 4);
-    let limits = gnrlab::num::budget::ExecLimits::none();
+    let limits = ExecLimits::none();
+    let mut shard = TelemetryShard::inactive();
     for _ in 0..3 {
         let pot = random_layer_potential(&mut rng);
         let (ham, gnr) = solver_for(&pot);
@@ -200,7 +213,10 @@ fn mode_space_transmission_bounded_and_tracks_real_space() {
             let e = rng.uniform_in(-0.75, 0.75);
             let bound = open_modes(gnr, e) as f64;
             let t_real = real.spectral_slice(e, &limits).expect("real").transmission;
-            let t_mode = mode.spectral_slice(e, &limits).expect("mode").transmission;
+            let t_mode = mode
+                .slice(e, None, &mut shard, &limits)
+                .expect("mode")
+                .transmission;
             assert!(
                 (-1e-9..=bound + 1e-6).contains(&t_mode),
                 "mode-space T({e:.4}) = {t_mode:.6} outside [0, {bound}]"
@@ -220,19 +236,19 @@ fn mode_space_path_keeps_the_current_invariants() {
     let (ham, _) = solver_for(&pot);
     let solver = mode_solver_for(&ham);
     let ctx = ExecCtx::serial();
-    let grid = EnergyGrid::new(-0.8, 0.8, 41).unwrap();
-    let opts = TransportOptions::legacy()
+    let grid: Vec<f64> = EnergyGrid::new(-0.8, 0.8, 41).unwrap().energies().collect();
+    let opts = TransportOptions::default()
         .with_cache(Arc::new(SurfaceGfCache::new()))
         .with_refine(RefineOptions::default());
     // Zero bias window: exactly zero current, finite filled charge.
     let mu = 0.1;
-    let zero = integrate_transport_with(&ctx, &solver, &grid, &opts, mu, mu, 300.0, &pot).unwrap();
+    let zero = integrate_transport(&ctx, &solver, &grid, &opts, mu, mu, 300.0, &pot).unwrap();
     assert_eq!(zero.current_a, 0.0, "mode-space path leaks at zero bias");
     assert!(zero.charge.total().abs() > 0.0);
     // Bias reversal: antisymmetric, and finite bias drives current.
     let (mu1, mu2) = (0.15, -0.15);
-    let fwd = integrate_transport_with(&ctx, &solver, &grid, &opts, mu1, mu2, 300.0, &pot).unwrap();
-    let rev = integrate_transport_with(&ctx, &solver, &grid, &opts, mu2, mu1, 300.0, &pot).unwrap();
+    let fwd = integrate_transport(&ctx, &solver, &grid, &opts, mu1, mu2, 300.0, &pot).unwrap();
+    let rev = integrate_transport(&ctx, &solver, &grid, &opts, mu2, mu1, 300.0, &pot).unwrap();
     let (i1, i2) = (fwd.current_a, rev.current_a);
     assert!(
         (i1 + i2).abs() <= 1e-9 * i1.abs().max(i2.abs()),
