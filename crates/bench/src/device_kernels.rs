@@ -1,13 +1,15 @@
 //! Benchmarks of the device-level kernels: band structure, contact
 //! self-energies, RGF transmission, 3D Poisson solves, and the
-//! semi-analytic SBFET evaluation that feeds table construction.
+//! semi-analytic SBFET evaluation that feeds table construction (one bias
+//! point, one library array table, one leakage-minimum search).
 
 use crate::harness::Harness;
-use gnr_device::{DeviceConfig, SbfetModel};
+use gnr_device::{DeviceConfig, DeviceTable, Polarity, SbfetModel, TableGrid};
 use gnr_lattice::{unit_cell_hamiltonian, AGnr, DeviceHamiltonian, ZGnr};
 use gnr_negf::lead::surface_gf;
 use gnr_negf::{Lead, RgfSolver};
 use gnr_num::budget::ExecLimits;
+use gnr_num::par::ExecCtx;
 use gnr_poisson::{Grid3, PoissonProblem, Region};
 use std::hint::black_box;
 
@@ -73,5 +75,22 @@ pub fn register(h: &mut Harness) {
                 .evaluate(black_box(0.45), black_box(0.4))
                 .expect("evaluates"),
         )
+    });
+    // The device library's AllFour array: four references to one model on
+    // the Fast-fidelity 21x21 grid, built serially.
+    let fast_grid = TableGrid {
+        vgs: (-0.35, 1.0),
+        vds: (0.0, 0.85),
+        points: 21,
+    };
+    let serial = ExecCtx::serial();
+    h.bench(SUITE, "sbfet_table_allfour_fast", || {
+        black_box(
+            DeviceTable::from_ribbon_models(&serial, &[&model; 4], Polarity::NType, fast_grid)
+                .expect("builds"),
+        )
+    });
+    h.bench(SUITE, "sbfet_min_leakage_vg", || {
+        black_box(model.minimum_leakage_vg(black_box(0.4)).expect("searches"))
     });
 }

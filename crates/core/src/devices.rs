@@ -3,8 +3,9 @@
 //! Every experiment in the paper draws device tables from the same small
 //! universe: GNR indices N ∈ {9, 12, 15, 18}, oxide impurity charges
 //! 0/±q/±2q, applied to one or all four ribbons of the FET array. Building
-//! a table costs seconds (3D Laplace solves + dense bias sampling), so the
-//! library memoizes them in memory and optionally on disk (JSON).
+//! a table costs 3D Poisson solves plus dense bias sampling, so the library
+//! memoizes models (one set of Laplace responses per width, shared by its
+//! charged variants) and tables, in memory and optionally on disk (JSON).
 
 use crate::error::ExploreError;
 use gnr_device::table::TableGrid;
@@ -135,7 +136,8 @@ impl DeviceVariant {
 /// since the mirror conjugates all charges).
 pub struct DeviceLibrary {
     fidelity: Fidelity,
-    models: HashMap<String, Arc<SbfetModel>>,
+    /// Models by `(n, charge_q bits)`.
+    models: HashMap<(usize, u64), Arc<SbfetModel>>,
     tables: HashMap<u64, Arc<DeviceTable>>,
     store: Arc<TableStore>,
 }
@@ -177,19 +179,35 @@ impl DeviceLibrary {
 
     /// The single-ribbon physical model for `(n, charge_q)`.
     ///
+    /// A charged model is derived from the memoized impurity-free model of
+    /// the same width ([`SbfetModel::with_added_impurities`]), so each
+    /// width pays its three Laplace solves once and each charge one
+    /// impurity solve; the result equals
+    /// [`SbfetModel::with_impurities`] field for field.
+    ///
     /// # Errors
     ///
     /// Propagates device-construction failures.
     pub fn model(&mut self, n: usize, charge_q: f64) -> Result<Arc<SbfetModel>, ExploreError> {
-        let key = format!("n{n}q{charge_q:+.0}");
+        // Exact charge bits (±0.0 folded): a rounded key would alias
+        // fractional charges onto their neighbours and onto the uncharged
+        // model the charged ones derive from.
+        let key = (
+            n,
+            if charge_q == 0.0 {
+                0
+            } else {
+                charge_q.to_bits()
+            },
+        );
         if let Some(m) = self.models.get(&key) {
             return Ok(Arc::clone(m));
         }
-        let cfg = self.fidelity.device_config(n)?;
         let model = if charge_q == 0.0 {
-            SbfetModel::new(&cfg)?
+            SbfetModel::new(&self.fidelity.device_config(n)?)?
         } else {
-            SbfetModel::with_impurities(&cfg, &[ChargeImpurity::near_source(charge_q)])?
+            self.model(n, 0.0)?
+                .with_added_impurities(&[ChargeImpurity::near_source(charge_q)])?
         };
         let arc = Arc::new(model);
         self.models.insert(key, Arc::clone(&arc));
@@ -333,6 +351,27 @@ mod tests {
         let a = lib.model(9, 0.0).unwrap();
         let b = lib.model(9, 0.0).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    /// A charged model derives from the memoized uncharged one of its
+    /// width, and a fractional charge keys its own model rather than
+    /// aliasing onto (and overwriting) the uncharged one.
+    #[test]
+    fn charged_models_derive_from_the_uncharged_width() {
+        let mut lib = DeviceLibrary::new(Fidelity::Fast);
+        let half = lib.model(9, 0.4).unwrap();
+        let plain = lib.model(9, 0.0).unwrap();
+        assert_eq!(lib.models.len(), 2);
+        assert!(!Arc::ptr_eq(&half, &plain));
+        assert_eq!(
+            format!("{:?}", plain.config()),
+            format!("{:?}", half.config())
+        );
+        assert_ne!(
+            half.drain_current(0.3, 0.4).unwrap().to_bits(),
+            plain.drain_current(0.3, 0.4).unwrap().to_bits()
+        );
+        assert!(Arc::ptr_eq(&plain, &lib.model(9, -0.0).unwrap()));
     }
 
     #[test]

@@ -275,11 +275,15 @@ pub fn ballistic_negf_table(
 
     // Freeze every bias node's channel potential up front (row-major), so
     // the mode-space window pre-pass and the sweep see identical profiles.
+    // One drain-bias column per V_DS node serves every gate voltage.
+    let columns = (0..grid.points)
+        .map(|j| model.drain_column(gy.point(j)))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut atom_pots: Vec<Vec<f64>> = Vec::with_capacity(grid.points * grid.points);
     for i in 0..grid.points {
         let vg = gx.point(i);
-        for j in 0..grid.points {
-            let u = model.potential_profile(vg, gy.point(j));
+        for col in &columns {
+            let u = model.profile_with(vg, col);
             atom_pots.push(
                 atom_x_nm
                     .iter()

@@ -59,10 +59,33 @@ fn segment_alpha(length_nm: f64) -> f64 {
     1.0 - WKB_THIN_AMPLITUDE * (-length_nm / WKB_THIN_LENGTH_NM).exp()
 }
 
+/// The drain-bias half of a bias point: `V_DS` and the local net-density
+/// table of its contact Fermi levels. Nothing in it depends on `V_GS`, so a
+/// table build makes one column per `V_DS` node and a leakage search one per
+/// search, and every gate voltage evaluates against it
+/// ([`SbfetModel::evaluate_with`]). Valid only for the model that built it.
+pub(crate) struct DrainColumn {
+    v_d: f64,
+    density: gnr_num::LinearTable,
+}
+
+fn check_bias(v: f64) -> Result<(), DeviceError> {
+    if v.is_finite() {
+        Ok(())
+    } else {
+        Err(DeviceError::config("bias voltages must be finite"))
+    }
+}
+
 /// Semi-analytic ballistic SBFET model bound to one device configuration.
 ///
-/// See the [module documentation](self) for the physics; construction
-/// performs the (cached) 3D Laplace solves and band-structure calculation.
+/// See the [module documentation](self) for the physics; [`new`](Self::new)
+/// performs the three 3D Laplace solves and the band-structure calculation.
+/// Nothing caches them here: callers that need several impurity variants of
+/// one width derive them with
+/// [`with_added_impurities`](Self::with_added_impurities), which reuses the
+/// responses and bands (the device library in `gnrfet-explore` memoizes the
+/// impurity-free model per width and derives the charged ones from it).
 #[derive(Clone, Debug)]
 pub struct SbfetModel {
     cfg: DeviceConfig,
@@ -82,20 +105,6 @@ impl SbfetModel {
     ///
     /// Propagates Poisson and band-structure failures.
     pub fn new(cfg: &DeviceConfig) -> Result<Self, DeviceError> {
-        Self::with_impurities(cfg, &[])
-    }
-
-    /// Builds the model with oxide charge impurities; each impurity's
-    /// screened-Coulomb footprint on the ribbon is obtained from a 3D
-    /// Poisson solve with all electrodes grounded (linear superposition).
-    ///
-    /// # Errors
-    ///
-    /// Propagates Poisson and band-structure failures.
-    pub fn with_impurities(
-        cfg: &DeviceConfig,
-        impurities: &[ChargeImpurity],
-    ) -> Result<Self, DeviceError> {
         let responses = cfg.electrode_responses()?;
         let bands = cfg.bands()?;
         let subbands = bands.conduction_subband_edges(SUBBANDS);
@@ -103,15 +112,6 @@ impl SbfetModel {
             return Err(DeviceError::config(
                 "ribbon has no conduction subbands (metallic index?)",
             ));
-        }
-        // The responses carry two extra pinned boundary samples; impurity
-        // footprints vanish at the metal faces (perfect screening).
-        let mut impurity_profile = vec![0.0; responses.len()];
-        for imp in impurities {
-            let profile = imp.ribbon_profile(cfg)?;
-            for (acc, v) in impurity_profile[1..].iter_mut().zip(&profile) {
-                *acc += v;
-            }
         }
         // Double-gate parallel-plate capacitance with a fringe-widened
         // effective width: field lines from the wide gate planes wrap around
@@ -122,11 +122,53 @@ impl SbfetModel {
         let c_ins_per_nm = 2.0 * EPS_R_SIO2 * (EPS_0 * 1e-9) * w_eff / cfg.t_ox_nm;
         Ok(SbfetModel {
             cfg: cfg.clone(),
+            // The responses carry two extra pinned boundary samples.
+            impurity_profile: vec![0.0; responses.len()],
             responses,
             subbands,
-            impurity_profile,
             c_ins_per_nm,
         })
+    }
+
+    /// Builds the model with oxide charge impurities:
+    /// `Self::new(cfg)?.with_added_impurities(impurities)`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates Poisson and band-structure failures.
+    pub fn with_impurities(
+        cfg: &DeviceConfig,
+        impurities: &[ChargeImpurity],
+    ) -> Result<Self, DeviceError> {
+        Self::new(cfg)?.with_added_impurities(impurities)
+    }
+
+    /// A copy of this model with further oxide charge impurities; each
+    /// impurity's screened-Coulomb footprint on the ribbon is obtained from
+    /// one 3D Poisson solve with all electrodes grounded (linear
+    /// superposition). The Laplace responses and bands are reused, so a
+    /// charged variant costs one solve per impurity instead of three more
+    /// Laplace solves; footprints add onto the existing profile in list
+    /// order, so the result is bit-identical to listing every impurity in
+    /// one [`with_impurities`](Self::with_impurities) call.
+    ///
+    /// # Errors
+    ///
+    /// Propagates Poisson failures.
+    pub fn with_added_impurities(
+        &self,
+        impurities: &[ChargeImpurity],
+    ) -> Result<Self, DeviceError> {
+        let mut model = self.clone();
+        // Impurity footprints vanish at the metal faces (perfect
+        // screening): the pinned first/last samples stay untouched.
+        for imp in impurities {
+            let profile = imp.ribbon_profile(&self.cfg)?;
+            for (acc, v) in model.impurity_profile[1..].iter_mut().zip(&profile) {
+                *acc += v;
+            }
+        }
+        Ok(model)
     }
 
     /// The device configuration the model was built from.
@@ -148,8 +190,14 @@ impl SbfetModel {
     /// convention, source Fermi level at 0), including the
     /// quantum-capacitance charge correction.
     pub fn potential_profile(&self, v_g: f64, v_d: f64) -> Vec<f64> {
+        self.profile_with(v_g, &self.column(v_d))
+    }
+
+    /// [`potential_profile`](Self::potential_profile) at gate voltage `v_g`
+    /// against a prebuilt drain-bias column.
+    pub(crate) fn profile_with(&self, v_g: f64, col: &DrainColumn) -> Vec<f64> {
         let v_g_eff = v_g + self.cfg.gate_offset_v;
-        let phi = self.responses.superpose(0.0, v_d, v_g_eff);
+        let phi = self.responses.superpose(0.0, col.v_d, v_g_eff);
         // Laplace potential -> electron midgap energy, plus impurities.
         let mut u: Vec<f64> = phi
             .iter()
@@ -157,7 +205,6 @@ impl SbfetModel {
             .map(|(p, imp)| -(p + imp))
             .collect();
         let u_laplace = u.clone();
-        let density = self.density_table(v_d);
         // Local quantum-capacitance correction: the net mobile charge
         // counter-acts the Laplace potential with strength q^2 n / C_ins.
         for _ in 0..QC_ITERATIONS {
@@ -165,7 +212,7 @@ impl SbfetModel {
             // Skip the pinned metal-face samples (first/last): the contact
             // metal's unlimited DOS clamps the potential there.
             for i in 1..u.len().saturating_sub(1) {
-                let n_net = density.eval(u[i]);
+                let n_net = col.density.eval(u[i]);
                 // Positive net charge (holes) raises phi, lowers U.
                 let du = -Q_E * n_net / self.c_ins_per_nm;
                 let target = u_laplace[i] + du;
@@ -180,11 +227,28 @@ impl SbfetModel {
         u
     }
 
+    /// [`profile_with`](Self::profile_with) for a gate voltage that must be
+    /// finite.
+    fn checked_profile(&self, v_g: f64, col: &DrainColumn) -> Result<Vec<f64>, DeviceError> {
+        check_bias(v_g)?;
+        Ok(self.profile_with(v_g, col))
+    }
+
+    /// The drain-bias column at `v_d`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeviceError::Config`] for a non-finite `v_d`.
+    pub(crate) fn drain_column(&self, v_d: f64) -> Result<DrainColumn, DeviceError> {
+        check_bias(v_d)?;
+        Ok(self.column(v_d))
+    }
+
     /// Tabulates the local net density as a function of the midgap energy
-    /// for the fixed contact Fermi levels of one bias point, so the
-    /// quantum-capacitance iteration does table lookups instead of
-    /// re-integrating the DOS at every site.
-    fn density_table(&self, v_d: f64) -> gnr_num::LinearTable {
+    /// for the fixed contact Fermi levels of drain bias `v_d`, so the
+    /// quantum-capacitance iteration and the charge sum do table lookups
+    /// instead of re-integrating the DOS at every site.
+    fn column(&self, v_d: f64) -> DrainColumn {
         let mu_s = 0.0f64;
         let mu_d = -v_d;
         let kt = self.cfg.temperature_k;
@@ -192,7 +256,12 @@ impl SbfetModel {
         let hi = 1.8 + v_d.abs();
         let n = 181;
         let grid = gnr_num::Grid1::new(lo, hi, n).expect("static grid is valid");
-        gnr_num::LinearTable::from_fn(grid, |u| self.local_net_density(u, mu_s, mu_d, kt))
+        DrainColumn {
+            v_d,
+            density: gnr_num::LinearTable::from_fn(grid, |u| {
+                self.local_net_density(u, mu_s, mu_d, kt)
+            }),
+        }
     }
 
     /// Net local carrier density `p − n` per nm (units of q) at local
@@ -271,11 +340,12 @@ impl SbfetModel {
     ///
     /// Returns [`DeviceError::Config`] for non-finite bias input.
     pub fn drain_current(&self, v_g: f64, v_d: f64) -> Result<f64, DeviceError> {
-        if !v_g.is_finite() || !v_d.is_finite() {
-            return Err(DeviceError::config("bias voltages must be finite"));
-        }
-        let u = self.potential_profile(v_g, v_d);
-        Ok(self.current_from_profile(&u, v_d))
+        self.current_with(v_g, &self.drain_column(v_d)?)
+    }
+
+    fn current_with(&self, v_g: f64, col: &DrainColumn) -> Result<f64, DeviceError> {
+        let u = self.checked_profile(v_g, col)?;
+        Ok(self.current_from_profile(&u, col.v_d))
     }
 
     fn current_from_profile(&self, u: &[f64], v_d: f64) -> f64 {
@@ -309,17 +379,14 @@ impl SbfetModel {
     ///
     /// Returns [`DeviceError::Config`] for non-finite bias input.
     pub fn channel_charge(&self, v_g: f64, v_d: f64) -> Result<f64, DeviceError> {
-        if !v_g.is_finite() || !v_d.is_finite() {
-            return Err(DeviceError::config("bias voltages must be finite"));
-        }
-        let u = self.potential_profile(v_g, v_d);
-        Ok(self.charge_from_profile(&u, v_d))
+        let col = self.drain_column(v_d)?;
+        let u = self.checked_profile(v_g, &col)?;
+        Ok(self.charge_from_profile(&u, &col))
     }
 
-    fn charge_from_profile(&self, u: &[f64], v_d: f64) -> f64 {
-        let density = self.density_table(v_d);
+    fn charge_from_profile(&self, u: &[f64], col: &DrainColumn) -> f64 {
         let dx = self.responses.x_step_nm;
-        let total_q: f64 = u.iter().map(|&ui| density.eval(ui) * dx).sum();
+        let total_q: f64 = u.iter().map(|&ui| col.density.eval(ui) * dx).sum();
         total_q * Q_E
     }
 
@@ -331,13 +398,26 @@ impl SbfetModel {
     ///
     /// Returns [`DeviceError::Config`] for non-finite bias input.
     pub fn evaluate(&self, v_g: f64, v_d: f64) -> Result<(f64, f64), DeviceError> {
-        if !v_g.is_finite() || !v_d.is_finite() {
-            return Err(DeviceError::config("bias voltages must be finite"));
-        }
-        let u = self.potential_profile(v_g, v_d);
-        let i = self.current_from_profile(&u, v_d);
-        let q = self.charge_from_profile(&u, v_d);
-        Ok((i, q))
+        self.evaluate_with(v_g, &self.drain_column(v_d)?)
+    }
+
+    /// [`evaluate`](Self::evaluate) at gate voltage `v_g` against a
+    /// prebuilt drain-bias column: bit-identical to
+    /// `evaluate(v_g, v_d)` for the column's `v_d`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeviceError::Config`] for a non-finite `v_g`.
+    pub(crate) fn evaluate_with(
+        &self,
+        v_g: f64,
+        col: &DrainColumn,
+    ) -> Result<(f64, f64), DeviceError> {
+        let u = self.checked_profile(v_g, col)?;
+        Ok((
+            self.current_from_profile(&u, col.v_d),
+            self.charge_from_profile(&u, col),
+        ))
     }
 
     /// Conduction-band-edge profile `E_C(x)` in eV along the channel
@@ -360,26 +440,29 @@ impl SbfetModel {
     ///
     /// Propagates current-evaluation failures.
     pub fn minimum_leakage_vg(&self, v_d: f64) -> Result<f64, DeviceError> {
+        // Every probe shares the drain bias: one column per search.
+        let col = self.drain_column(v_d)?;
+        let current = |v_g: f64| self.current_with(v_g, &col);
         let mut a = -0.2;
         let mut b = v_d + 0.2;
         let phi = (5f64.sqrt() - 1.0) / 2.0;
         let mut x1 = b - phi * (b - a);
         let mut x2 = a + phi * (b - a);
-        let mut f1 = self.drain_current(x1, v_d)?;
-        let mut f2 = self.drain_current(x2, v_d)?;
+        let mut f1 = current(x1)?;
+        let mut f2 = current(x2)?;
         for _ in 0..40 {
             if f1 < f2 {
                 b = x2;
                 x2 = x1;
                 f2 = f1;
                 x1 = b - phi * (b - a);
-                f1 = self.drain_current(x1, v_d)?;
+                f1 = current(x1)?;
             } else {
                 a = x1;
                 x1 = x2;
                 f1 = f2;
                 x2 = a + phi * (b - a);
-                f2 = self.drain_current(x2, v_d)?;
+                f2 = current(x2)?;
             }
             if (b - a).abs() < 1e-3 {
                 break;
@@ -538,5 +621,73 @@ mod tests {
         let m = model(9);
         assert!(m.drain_current(f64::NAN, 0.5).is_err());
         assert!(m.channel_charge(0.1, f64::INFINITY).is_err());
+        assert!(m.evaluate(0.1, f64::NAN).is_err());
+        assert!(m.drain_column(f64::NEG_INFINITY).is_err());
+        let col = m.drain_column(0.5).unwrap();
+        assert!(m.evaluate_with(f64::INFINITY, &col).is_err());
+        assert!(m.minimum_leakage_vg(f64::NAN).is_err());
+    }
+
+    /// A prebuilt drain-bias column reproduces `evaluate` bit for bit, on
+    /// and off the library's bias nodes, with and without an impurity
+    /// footprint; `drain_current` and `channel_charge` return the same
+    /// bits as the fused call.
+    #[test]
+    fn column_evaluation_is_bit_identical_to_evaluate() {
+        let plain = model(12);
+        let charged = plain
+            .with_added_impurities(&[ChargeImpurity::near_source(1.0)])
+            .unwrap();
+        // The Fast library grid: V_GS −0.35…1.0 V, V_DS 0…0.85 V, 21 nodes.
+        let node = |lo: f64, hi: f64, k: usize| lo + (hi - lo) * k as f64 / 20.0;
+        let mut rng = gnr_num::Rng::seed_from_u64(0xc01_0b1a5);
+        let mut points = 0;
+        for m in [&plain, &charged] {
+            for c in 0..40 {
+                // Even columns sit on a V_DS node, odd ones anywhere.
+                let vd = if c % 2 == 0 {
+                    node(0.0, 0.85, rng.below(21))
+                } else {
+                    rng.uniform_in(-0.2, 1.0)
+                };
+                let col = m.drain_column(vd).unwrap();
+                for k in 0..25 {
+                    let vg = if k % 2 == 0 {
+                        node(-0.35, 1.0, rng.below(21))
+                    } else {
+                        rng.uniform_in(-0.6, 1.2)
+                    };
+                    let (i, q) = m.evaluate(vg, vd).unwrap();
+                    let (ic, qc) = m.evaluate_with(vg, &col).unwrap();
+                    assert_eq!(i.to_bits(), ic.to_bits(), "current at ({vg}, {vd})");
+                    assert_eq!(q.to_bits(), qc.to_bits(), "charge at ({vg}, {vd})");
+                    if k == 0 {
+                        assert_eq!(m.drain_current(vg, vd).unwrap().to_bits(), i.to_bits());
+                        assert_eq!(m.channel_charge(vg, vd).unwrap().to_bits(), q.to_bits());
+                    }
+                    points += 1;
+                }
+            }
+        }
+        assert_eq!(points, 2000);
+    }
+
+    /// Impurities added to a built model land exactly where building with
+    /// them from scratch puts them.
+    #[test]
+    fn added_impurities_match_a_fresh_build() {
+        let cfg = DeviceConfig::test_small(9).unwrap();
+        let imps = [
+            ChargeImpurity::near_source(-1.0),
+            ChargeImpurity::near_source(2.0),
+        ];
+        let fresh = SbfetModel::with_impurities(&cfg, &imps).unwrap();
+        let staged = SbfetModel::new(&cfg)
+            .unwrap()
+            .with_added_impurities(&imps[..1])
+            .unwrap()
+            .with_added_impurities(&imps[1..])
+            .unwrap();
+        assert_eq!(format!("{fresh:?}"), format!("{staged:?}"));
     }
 }

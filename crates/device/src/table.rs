@@ -83,6 +83,13 @@ impl DeviceTable {
     /// Builds a table by sampling a single-ribbon model and scaling by
     /// `ribbons` identical parallel ribbons (the paper's 4-GNR array).
     ///
+    /// Scaling by `k` is not bitwise the sum of `k` ribbons, so this table
+    /// may differ in the last bit from
+    /// [`from_ribbon_models`](Self::from_ribbon_models) over `k` copies of
+    /// the model. The device library builds its arrays through the latter
+    /// (summing listed ribbons) to stay bit-identical with the tables it
+    /// has already stored; both cost one evaluation per bias point.
+    ///
     /// The bias grid is sampled on `ctx`'s thread pool, one gate-voltage
     /// row per work item, with an ordered merge: tables are bit-identical
     /// for any thread count.
@@ -154,10 +161,16 @@ impl DeviceTable {
     /// mechanism behind the paper's "one of four GNRs affected" scenarios:
     /// pass three nominal models and one variant.
     ///
-    /// Grid rows (fixed `V_GS`, all `V_DS`) are independent bias points and
-    /// run on `ctx`'s pool; per-point model contributions accumulate in
-    /// model order and rows merge in grid order, so the table is
-    /// bit-identical to the serial nested loop.
+    /// Bias-invariant work is done once: the list is deduplicated by
+    /// identity (the library passes the same model up to four times), each
+    /// distinct model builds one drain-bias column per `V_DS` node, and
+    /// evaluates once per bias point. The per-point values are then summed
+    /// once per *listed* ribbon in list order — the float-add sequence of
+    /// the model-outer nested loop, so four identical ribbons give
+    /// `x + x + x + x`, never `4·x`. Columns and grid rows (fixed `V_GS`,
+    /// all `V_DS`) run on `ctx`'s pool and merge in grid order, so the
+    /// table is bit-identical to the serial nested loop for any thread
+    /// count.
     ///
     /// # Errors
     ///
@@ -178,18 +191,38 @@ impl DeviceTable {
         let gx = Grid1::new(grid.vgs.0, grid.vgs.1, grid.points)?;
         let gy = Grid1::new(grid.vds.0, grid.vds.1, grid.points)?;
         let g2 = Grid2::new(gx, gy);
+        let points = grid.points;
+        let mut distinct: Vec<&SbfetModel> = Vec::new();
+        let slots: Vec<usize> = models
+            .iter()
+            .map(|m| {
+                let m = m.borrow();
+                distinct
+                    .iter()
+                    .position(|&d| std::ptr::eq(d, m))
+                    .unwrap_or_else(|| {
+                        distinct.push(m);
+                        distinct.len() - 1
+                    })
+            })
+            .collect();
+        // Column `d * points + j`: distinct model `d` at V_DS node `j`.
+        let columns = ctx.try_par_map_indexed(distinct.len() * points, |c| {
+            distinct[c / points].drain_column(gy.point(c % points))
+        })?;
         type Row = (Vec<f64>, Vec<f64>);
-        let rows = ctx.try_par_map_indexed(grid.points, |i| -> Result<Row, DeviceError> {
+        let rows = ctx.try_par_map_indexed(points, |i| -> Result<Row, DeviceError> {
             let vg = gx.point(i);
-            let mut id_row = vec![0.0; grid.points];
-            let mut q_row = vec![0.0; grid.points];
-            // Accumulate per-point contributions in model order — the same
-            // float-add sequence as the original model-outer nested loop.
-            for model in models {
-                let model = model.borrow();
-                for (j, (id_cell, q_cell)) in id_row.iter_mut().zip(&mut q_row).enumerate() {
-                    let vd = gy.point(j);
-                    let (id, q) = model.evaluate(vg, vd)?;
+            let evals = columns
+                .iter()
+                .enumerate()
+                .map(|(c, col)| distinct[c / points].evaluate_with(vg, col))
+                .collect::<Result<Vec<_>, _>>()?;
+            let mut id_row = vec![0.0; points];
+            let mut q_row = vec![0.0; points];
+            for &d in &slots {
+                let ribbon = &evals[d * points..(d + 1) * points];
+                for ((id_cell, q_cell), &(id, q)) in id_row.iter_mut().zip(&mut q_row).zip(ribbon) {
                     *id_cell += id;
                     *q_cell += q;
                 }
@@ -909,6 +942,84 @@ mod tests {
             }
         }
         assert!(DeviceTable::from_json("not json").is_err());
+    }
+
+    /// The model-outer nested loop the table builder replaced: every
+    /// listed model evaluated at every node, summed in list order.
+    fn nested_loop_oracle(models: &[&SbfetModel], grid: TableGrid) -> (Vec<f64>, Vec<f64>) {
+        let n = grid.points;
+        let gx = Grid1::new(grid.vgs.0, grid.vgs.1, n).unwrap();
+        let gy = Grid1::new(grid.vds.0, grid.vds.1, n).unwrap();
+        let (mut id, mut q) = (vec![0.0; n * n], vec![0.0; n * n]);
+        for i in 0..n {
+            for model in models {
+                for j in 0..n {
+                    let (a, b) = model.evaluate(gx.point(i), gy.point(j)).unwrap();
+                    id[i * n + j] += a;
+                    q[i * n + j] += b;
+                }
+            }
+        }
+        (id, q)
+    }
+
+    #[test]
+    fn deduplicated_ribbons_match_the_nested_loop() {
+        let a = SbfetModel::new(&DeviceConfig::test_small(12).unwrap()).unwrap();
+        let b = a
+            .with_added_impurities(&[crate::ChargeImpurity::near_source(1.0)])
+            .unwrap();
+        let grid = TableGrid::coarse();
+        for (what, list) in [
+            ("[a, a, a, a]", [&a, &a, &a, &a]),
+            ("[a, b, a, b]", [&a, &b, &a, &b]),
+        ] {
+            let (id, q) = nested_loop_oracle(&list, grid);
+            for threads in [1, 3] {
+                let t = DeviceTable::from_ribbon_models(
+                    &ExecCtx::with_threads(threads),
+                    &list,
+                    Polarity::NType,
+                    grid,
+                )
+                .unwrap();
+                assert_eq!(t.ribbons(), 4);
+                for i in 0..grid.points {
+                    for j in 0..grid.points {
+                        let k = i * grid.points + j;
+                        let at = format!("{what} node ({i}, {j}), threads={threads}");
+                        assert_eq!(t.id_a.node(i, j).to_bits(), id[k].to_bits(), "id {at}");
+                        assert_eq!(t.q_c.node(i, j).to_bits(), q[k].to_bits(), "q {at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_grid_is_a_typed_error() {
+        let model = SbfetModel::new(&DeviceConfig::test_small(9).unwrap()).unwrap();
+        let finite = TableGrid::coarse();
+        for grid in [
+            TableGrid {
+                vds: (0.0, f64::INFINITY),
+                ..finite
+            },
+            TableGrid {
+                vgs: (f64::NEG_INFINITY, 0.9),
+                ..finite
+            },
+            TableGrid {
+                vgs: (f64::NAN, 0.9),
+                ..finite
+            },
+        ] {
+            let r = DeviceTable::from_ribbon_models(&ctx(), &[&model], Polarity::NType, grid);
+            assert!(
+                matches!(r, Err(DeviceError::Config { .. } | DeviceError::Num(_))),
+                "{grid:?}: {r:?}"
+            );
+        }
     }
 
     #[test]

@@ -111,11 +111,17 @@ GNR_THREADS=4 cargo test -q --offline \
 # a 3x3 design-space map. NEGF transport integrator (DESIGN.md §11): the
 # accelerated and mode-space 4x4 tables, an adaptive SCF bias point, the
 # warm-started uniform SCF table, and per-energy counters on an isolated
-# sink. Named on both pool sizes because the pinned bits must be
-# thread-count invariant.
-echo "== tier-1: transient-step and NEGF golden pins (GNR_THREADS=1 and 4) =="
-GNR_THREADS=1 cargo test -q --offline --test transient_pins --test negf_pins
-GNR_THREADS=4 cargo test -q --offline --test transient_pins --test negf_pins
+# sink. Surrogate table build (DESIGN.md §2.1): the Fast library's
+# AllFour, OneOfFour and nominal tables, the scaled single-model table,
+# the leakage-minimum search, the charged library model, a ballistic NEGF
+# table's frozen-profile pre-pass, and the library's Poisson-solve count.
+# Named on both pool sizes because the pinned bits must be thread-count
+# invariant.
+echo "== tier-1: transient-step, NEGF and surrogate-table golden pins (GNR_THREADS=1 and 4) =="
+GNR_THREADS=1 cargo test -q --offline \
+  --test transient_pins --test negf_pins --test surrogate_table_pins
+GNR_THREADS=4 cargo test -q --offline \
+  --test transient_pins --test negf_pins --test surrogate_table_pins
 
 if [ "$TIER" = "1" ]; then
   echo "verify: tier-1 checks passed"
