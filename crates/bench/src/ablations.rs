@@ -216,7 +216,16 @@ fn device_table(h: &mut Harness) {
     };
     let ctx = ExecCtx::new(ThreadPool::new(4), Default::default());
     for (label, opts) in [
-        ("legacy", NegfTableOptions::legacy()),
+        (
+            "legacy",
+            NegfTableOptions {
+                energy_step_ev: 0.015,
+                energy_pad_ev: 0.25,
+                refine: None,
+                use_cache: false,
+                mode_space: None,
+            },
+        ),
         ("accelerated", NegfTableOptions::accelerated()),
     ] {
         h.bench(SUITE, &format!("device_table/{label}"), || {
@@ -274,7 +283,7 @@ fn mode_space(h: &mut Harness) {
 /// faster than cold, with the hit byte-identical to the cold build
 /// (pinned by the `table_cache` test suite).
 fn table_cache(h: &mut Harness) {
-    use gnr_device::{ballistic_negf_table, NegfTableOptions, TableKey, TableStore};
+    use gnr_device::{ballistic_negf_table, DeviceError, NegfTableOptions, TableKey, TableStore};
     let mut cfg = DeviceConfig::test_small(9).expect("valid");
     cfg.channel_cells = 6;
     let model = SbfetModel::new(&cfg).expect("builds");
@@ -310,7 +319,7 @@ fn table_cache(h: &mut Harness) {
     h.bench(SUITE, "table_cache/warm_hit", || {
         black_box(
             store
-                .get_or_build(key(&cfg, &opts), || -> Result<DeviceTable, _> {
+                .get_or_build(key(&cfg, &opts), || -> Result<DeviceTable, DeviceError> {
                     unreachable!("the warm run must hit")
                 })
                 .expect("hit"),

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nfig5a: conduction-band profile E_C(x), V_G = 0.25 V, V_D = 0.5 V");
     println!("(impurity at 2 nm from the source face, 0.4 nm above the ribbon)");
     for (q, model) in &models {
-        let prof = model.conduction_band_profile(0.25, 0.5);
+        let prof = model.conduction_band_profile(0.25, 0.5)?;
         let peak = prof
             .iter()
             .skip(1)

@@ -1,5 +1,5 @@
 //! Extension experiment (beyond the paper's tables): edge-roughness
-//! disorder, the defect mechanism the paper defers to its ref. [17] and
+//! disorder, the defect mechanism the paper defers to its ref. \[17\] and
 //! says "can be explored by readily extending the bottom-up simulation
 //! framework presented here". This binary is that extension: ballistic
 //! transmission statistics of rough ribbons versus roughness probability

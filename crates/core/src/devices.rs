@@ -10,8 +10,7 @@
 use crate::error::ExploreError;
 use gnr_device::table::TableGrid;
 use gnr_device::{
-    ChargeImpurity, DeviceConfig, DeviceError, DeviceTable, Polarity, SbfetModel, TableKey,
-    TableStore,
+    ChargeImpurity, DeviceConfig, DeviceTable, Polarity, SbfetModel, TableKey, TableStore,
 };
 use gnr_num::par::ExecCtx;
 use std::collections::HashMap;
@@ -250,41 +249,25 @@ impl DeviceLibrary {
         }
         let store = Arc::clone(&self.store);
         let grid = self.fidelity.table_grid();
-        let mut build_err: Option<ExploreError> = None;
-        let built = store.get_or_build(key, || {
-            let models = (|| -> Result<(Arc<SbfetModel>, Arc<SbfetModel>), ExploreError> {
-                Ok((
-                    self.model(12, 0.0)?,
-                    self.model(variant.n, variant.charge_q)?,
-                ))
-            })();
-            let (nominal, variant_model) = match models {
-                Ok(pair) => pair,
-                Err(e) => {
-                    build_err = Some(e);
-                    return Err(DeviceError::config("device library: model build failed"));
-                }
-            };
-            let mut ribbons: Vec<Arc<SbfetModel>> = Vec::with_capacity(4);
-            for i in 0..4 {
-                if i < affected {
-                    ribbons.push(Arc::clone(&variant_model));
-                } else {
-                    ribbons.push(Arc::clone(&nominal));
-                }
-            }
-            let refs: Vec<&SbfetModel> = ribbons.iter().map(|m| m.as_ref()).collect();
-            DeviceTable::from_ribbon_models(ctx, &refs, Polarity::NType, grid)
-        });
-        let table = match built {
-            Ok(t) => t,
-            Err(e) => {
-                return Err(match build_err {
-                    Some(outer) => outer,
-                    None => e.into(),
+        let table = store.get_or_build(key, || -> Result<DeviceTable, ExploreError> {
+            let nominal = self.model(12, 0.0)?;
+            let variant_model = self.model(variant.n, variant.charge_q)?;
+            let ribbons: Vec<&SbfetModel> = (0..4)
+                .map(|i| {
+                    if i < affected {
+                        &*variant_model
+                    } else {
+                        &*nominal
+                    }
                 })
-            }
-        };
+                .collect();
+            Ok(DeviceTable::from_ribbon_models(
+                ctx,
+                &ribbons,
+                Polarity::NType,
+                grid,
+            )?)
+        })?;
         let arc = Arc::new(table);
         self.tables.insert(key, Arc::clone(&arc));
         Ok(arc)

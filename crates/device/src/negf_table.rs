@@ -27,15 +27,14 @@
 
 use crate::error::DeviceError;
 use crate::sbfet::SbfetModel;
-use crate::table::{DeviceTable, Polarity, TableGrid};
-use gnr_lattice::DeviceHamiltonian;
+use crate::table::{BiasSweep, DeviceTable, Polarity, Stamp, TableGrid, Tally};
+use gnr_lattice::{AGnr, DeviceHamiltonian};
 use gnr_negf::mode_space::{ModeBasis, ModeSpaceOptions, ModeSpaceSolver};
 use gnr_negf::transport::{
     integrate_transport, EnergyGrid, RefineOptions, SpectralSolver, TransportOptions,
 };
 use gnr_negf::{Lead, RgfSolver, SurfaceGfCache};
 use gnr_num::par::ExecCtx;
-use gnr_num::Grid1;
 use std::sync::Arc;
 
 /// Controls for the ballistic NEGF table sweep.
@@ -56,18 +55,6 @@ pub struct NegfTableOptions {
 }
 
 impl NegfTableOptions {
-    /// The legacy A/B reference: dense uniform grid, no cache — every
-    /// energy point of every bias point pays fresh Sancho–Rubio solves.
-    pub fn legacy() -> Self {
-        NegfTableOptions {
-            energy_step_ev: 0.015,
-            energy_pad_ev: 0.25,
-            refine: None,
-            use_cache: false,
-            mode_space: None,
-        }
-    }
-
     /// The accelerated path: 5× coarser base grid with band-edge
     /// refinement, and the shared surface-GF cache. The charge (DOS)
     /// refinement trigger is loosened relative to the SCF default — the
@@ -95,36 +82,6 @@ impl NegfTableOptions {
             mode_space: Some(ModeSpaceOptions::default()),
             ..NegfTableOptions::accelerated()
         }
-    }
-
-    /// Sets the (coarse base) energy-grid step \[eV\].
-    pub fn with_energy_step_ev(mut self, step: f64) -> Self {
-        self.energy_step_ev = step;
-        self
-    }
-
-    /// Sets the window padding beyond the bias window \[eV\].
-    pub fn with_energy_pad_ev(mut self, pad: f64) -> Self {
-        self.energy_pad_ev = pad;
-        self
-    }
-
-    /// Sets (or clears) adaptive energy-grid refinement.
-    pub fn with_refine(mut self, refine: Option<RefineOptions>) -> Self {
-        self.refine = refine;
-        self
-    }
-
-    /// Enables or disables the sweep-wide surface-GF cache.
-    pub fn with_cache(mut self, use_cache: bool) -> Self {
-        self.use_cache = use_cache;
-        self
-    }
-
-    /// Sets (or clears) the mode-space solver path.
-    pub fn with_mode_space(mut self, mode_space: Option<ModeSpaceOptions>) -> Self {
-        self.mode_space = mode_space;
-        self
     }
 
     /// The provenance string recorded on tables built with these options
@@ -161,52 +118,65 @@ fn profile_at(u: &[f64], dx_nm: f64, x_nm: f64) -> f64 {
     u[i0] * (1.0 - frac) + u[i0 + 1] * frac
 }
 
-/// Runs the frozen-potential transport sweep over the bias grid with one
-/// solver instance per node, in fixed row-major order. Generic over the
-/// solver path ([`RgfSolver`] or [`ModeSpaceSolver`]) so both share the
-/// exact bias/energy loop structure — and therefore the same determinism
-/// contract.
-#[allow(clippy::too_many_arguments)]
-fn sweep_grid<S, F>(
-    ctx: &ExecCtx,
-    gy: &Grid1,
-    points: usize,
-    gnr: gnr_lattice::AGnr,
+/// The bias-invariant half of a ballistic NEGF sweep: frozen per-node
+/// atom potentials, the shared energy lattice and transport options.
+struct FrozenSweep<'a> {
+    ctx: &'a ExecCtx,
+    sweep: BiasSweep,
+    gnr: AGnr,
     cells: usize,
-    atom_pots: &[Vec<f64>],
-    energies: &[f64],
-    topts: &TransportOptions,
     temperature_k: f64,
-    scale: f64,
-    make_solver: F,
-) -> Result<(Vec<f64>, Vec<f64>), DeviceError>
-where
-    S: SpectralSolver + Sync,
-    F: Fn(&DeviceHamiltonian, f64) -> Result<S, DeviceError>,
-{
-    let mut id_vals = Vec::with_capacity(points * points);
-    let mut q_vals = Vec::with_capacity(points * points);
-    for i in 0..points {
-        for j in 0..points {
-            let vd = gy.point(j);
-            let atom_pot = &atom_pots[i * points + j];
-            let ham = DeviceHamiltonian::new(gnr, cells, atom_pot)?;
-            let solver = make_solver(&ham, vd)?;
+    /// Row-major per-node atom potentials \[eV\].
+    atom_pots: Vec<Vec<f64>>,
+    energies: Vec<f64>,
+    topts: TransportOptions,
+}
+
+impl FrozenSweep<'_> {
+    /// Primes the sweep-wide surface-GF cache, then runs one frozen-potential
+    /// transport solve per bias node in row-major order on the solver that
+    /// `solver(hamiltonian, v_ds)` builds — one loop for every solver path,
+    /// and therefore one determinism contract.
+    fn run<S: SpectralSolver + Sync>(
+        &self,
+        stamp: Stamp<'_>,
+        solver: impl Fn(&DeviceHamiltonian, f64) -> Result<S, DeviceError>,
+    ) -> Result<DeviceTable, DeviceError> {
+        // Serial pre-indexing: prime every (slot, snapped-energy) base entry
+        // in fixed drain-bias order before the sweep. The lead blocks do
+        // not depend on the channel potential, so one representative
+        // (flat-band) Hamiltonian serves all gate voltages — and, on the
+        // mode-space path, is never degraded, so it primes the *reduced*
+        // lead entries.
+        if let Some(cache) = &self.topts.cache {
+            let zero_pot = vec![0.0; self.cells * self.gnr.atoms_per_cell()];
+            let rep_ham = DeviceHamiltonian::new(self.gnr, self.cells, &zero_pot)?;
+            for j in 0..self.sweep.points() {
+                solver(&rep_ham, self.sweep.vds(j))?.prime_surface_cache(
+                    self.ctx,
+                    cache,
+                    &self.energies,
+                )?;
+            }
+        }
+        // Bias points serial (the inner energy loop parallelizes on ctx's
+        // pool; nesting pool dispatch is not supported).
+        self.sweep.serial(stamp, |n| {
+            let atom_pot = &self.atom_pots[n.row * self.sweep.points() + n.col];
+            let ham = DeviceHamiltonian::new(self.gnr, self.cells, atom_pot)?;
             let r = integrate_transport(
-                ctx,
-                &solver,
-                energies,
-                topts,
+                self.ctx,
+                &solver(&ham, n.vd)?,
+                &self.energies,
+                &self.topts,
                 0.0,
-                -vd,
-                temperature_k,
+                -n.vd,
+                self.temperature_k,
                 atom_pot,
             )?;
-            id_vals.push(r.current_a * scale);
-            q_vals.push(r.charge.total() * gnr_num::consts::Q_E * scale);
-        }
+            Ok((r.current_a, r.charge.total() * gnr_num::consts::Q_E))
+        })
     }
-    Ok((id_vals, q_vals))
 }
 
 /// Builds a [`DeviceTable`] by ballistic NEGF transport at every bias node,
@@ -215,15 +185,16 @@ where
 /// The channel potential at each `(v_g, v_d)` is the surrogate's
 /// self-consistent profile; source and drain are semi-infinite GNR contacts
 /// at potentials `0` and `−v_d` with Fermi levels `μ_s = 0`, `μ_d = −v_d`.
-/// With [`NegfTableOptions::legacy`] this is the uniform-grid,
-/// fresh-Sancho–Rubio reference; with [`NegfTableOptions::accelerated`]
-/// the same sweep reuses cached surface GFs across bias points and refines
-/// the energy grid only where `T(E)` has structure.
+/// Without the cache and refinement (`use_cache: false`, `refine: None`)
+/// this is the uniform-grid, fresh-Sancho–Rubio reference; with
+/// [`NegfTableOptions::accelerated`] the same sweep reuses cached surface
+/// GFs across bias points and refines the energy grid only where `T(E)`
+/// has structure.
 ///
 /// # Errors
 ///
-/// Returns [`DeviceError::Config`] for a degenerate grid; propagates
-/// lattice, lead, and transport failures.
+/// Returns [`DeviceError::Config`] for an invalid grid or energy options;
+/// propagates lattice, lead, and transport failures.
 pub fn ballistic_negf_table(
     ctx: &ExecCtx,
     model: &SbfetModel,
@@ -232,9 +203,7 @@ pub fn ballistic_negf_table(
     ribbons: usize,
     opts: &NegfTableOptions,
 ) -> Result<DeviceTable, DeviceError> {
-    if grid.points < 3 {
-        return Err(DeviceError::config("table grid needs >= 3 points/axis"));
-    }
+    let sweep = BiasSweep::new(&grid)?;
     if opts.energy_step_ev.is_nan() || opts.energy_step_ev <= 0.0 || !opts.energy_pad_ev.is_finite()
     {
         return Err(DeviceError::config("invalid energy grid options"));
@@ -242,14 +211,10 @@ pub fn ballistic_negf_table(
     let cfg = model.config();
     let gnr = cfg.gnr;
     let cells = cfg.channel_cells;
-    let m = gnr.atoms_per_cell();
     let lattice = gnr.lattice(cells);
     let atom_x_nm: Vec<f64> = lattice.atoms().iter().map(|a| a.x * 1e9).collect();
-    debug_assert_eq!(atom_x_nm.len(), cells * m);
+    debug_assert_eq!(atom_x_nm.len(), cells * gnr.atoms_per_cell());
     let dx_nm = cfg.grid_h_nm;
-
-    let gx = Grid1::new(grid.vgs.0, grid.vgs.1, grid.points)?;
-    let gy = Grid1::new(grid.vds.0, grid.vds.1, grid.points)?;
 
     // Global energy window covering every bias point's transport integral,
     // with the step snapped so the vds spacing is an integer number of
@@ -265,25 +230,18 @@ pub fn ballistic_negf_table(
     } else {
         opts.energy_step_ev
     };
-    let base_energies: Vec<f64> = EnergyGrid::with_step(lo, hi, step)?.energies().collect();
-
-    let cache = opts.use_cache.then(|| Arc::new(SurfaceGfCache::new()));
-    let topts = TransportOptions {
-        refine: opts.refine,
-        cache: cache.clone(),
-    };
+    let energies: Vec<f64> = EnergyGrid::with_step(lo, hi, step)?.energies().collect();
 
     // Freeze every bias node's channel potential up front (row-major), so
     // the mode-space window pre-pass and the sweep see identical profiles.
     // One drain-bias column per V_DS node serves every gate voltage.
-    let columns = (0..grid.points)
-        .map(|j| model.drain_column(gy.point(j)))
+    let columns = (0..sweep.points())
+        .map(|j| model.drain_column(sweep.vds(j)))
         .collect::<Result<Vec<_>, _>>()?;
-    let mut atom_pots: Vec<Vec<f64>> = Vec::with_capacity(grid.points * grid.points);
-    for i in 0..grid.points {
-        let vg = gx.point(i);
+    let mut atom_pots: Vec<Vec<f64>> = Vec::with_capacity(sweep.nodes());
+    for i in 0..sweep.points() {
         for col in &columns {
-            let u = model.profile_with(vg, col);
+            let u = model.profile_with(sweep.vgs(i), col)?;
             atom_pots.push(
                 atom_x_nm
                     .iter()
@@ -293,109 +251,60 @@ pub fn ballistic_negf_table(
         }
     }
 
-    // Serial pre-indexing: prime every (slot, snapped-energy) base entry in
-    // fixed drain-bias order before the sweep. The lead blocks do not
-    // depend on the channel potential, so one representative (flat-band)
-    // Hamiltonian serves all gate voltages — and, on the mode-space path,
-    // is never degraded, so it primes the *reduced* lead entries.
-    let zero_pot = vec![0.0; cells * m];
-    let rep_ham = DeviceHamiltonian::new(gnr, cells, &zero_pot)?;
-
-    // The sweep: bias points serial (the inner energy loop parallelizes on
-    // ctx's pool; nesting pool dispatch is not supported), row-major order.
-    let k = ribbons.max(1) as f64;
-    let (id_vals, q_vals) = match &opts.mode_space {
-        Some(ms) => {
-            // Mode-selection window: a band at energy B under potential U
-            // appears at B + U, so covering E ∈ [lo, hi] for every swept
-            // potential U ∈ [u_min, u_max] needs B ∈ [lo − u_max, hi − u_min].
-            // The lead potentials 0 and −vd are folded in explicitly (the
-            // surrogate profile pins them at the faces anyway).
-            let (mut u_min, mut u_max) = (0.0f64, 0.0f64);
-            for &p in atom_pots.iter().flatten() {
-                u_min = u_min.min(p);
-                u_max = u_max.max(p);
-            }
-            for j in 0..grid.points {
-                u_min = u_min.min(-gy.point(j));
-                u_max = u_max.max(-gy.point(j));
-            }
-            let (lead_h00, lead_h01) = gnr_lattice::unit_cell_hamiltonian(gnr);
-            let basis = ModeBasis::build(&lead_h00, &lead_h01, lo - u_max, hi - u_min, ms)?;
-            if let Some(cache) = &cache {
-                for j in 0..grid.points {
-                    let vd = gy.point(j);
-                    let solver = ModeSpaceSolver::new(
-                        &rep_ham,
-                        Lead::gnr_contact(),
-                        Lead::gnr_contact_at(-vd),
-                        &basis,
-                        ms,
-                    )?;
-                    solver.prime_surface_cache(ctx, cache, &base_energies)?;
-                }
-            }
-            ctx.counter_add("device.negf_table.mode_space_modes", basis.modes() as u64);
-            sweep_grid(
-                ctx,
-                &gy,
-                grid.points,
-                gnr,
-                cells,
-                &atom_pots,
-                &base_energies,
-                &topts,
-                cfg.temperature_k,
-                k,
-                |ham, vd| {
-                    Ok(ModeSpaceSolver::new(
-                        ham,
-                        Lead::gnr_contact(),
-                        Lead::gnr_contact_at(-vd),
-                        &basis,
-                        ms,
-                    )?)
-                },
-            )?
-        }
-        None => {
-            if let Some(cache) = &cache {
-                for j in 0..grid.points {
-                    let vd = gy.point(j);
-                    let solver =
-                        RgfSolver::new(&rep_ham, Lead::gnr_contact(), Lead::gnr_contact_at(-vd));
-                    solver.prime_surface_cache(ctx, cache, &base_energies)?;
-                }
-            }
-            sweep_grid(
-                ctx,
-                &gy,
-                grid.points,
-                gnr,
-                cells,
-                &atom_pots,
-                &base_energies,
-                &topts,
-                cfg.temperature_k,
-                k,
-                |ham, vd| {
-                    Ok(RgfSolver::new(
-                        ham,
-                        Lead::gnr_contact(),
-                        Lead::gnr_contact_at(-vd),
-                    ))
-                },
-            )?
-        }
+    let frozen = FrozenSweep {
+        ctx,
+        sweep,
+        gnr,
+        cells,
+        temperature_k: cfg.temperature_k,
+        atom_pots,
+        energies,
+        topts: TransportOptions {
+            refine: opts.refine,
+            cache: opts.use_cache.then(|| Arc::new(SurfaceGfCache::new())),
+        },
     };
-    ctx.counter_inc("device.negf_table.builds");
-    ctx.counter_add(
-        "device.negf_table.bias_points",
-        (grid.points * grid.points) as u64,
-    );
-    let mut table = DeviceTable::from_node_values(grid, polarity, ribbons.max(1), id_vals, q_vals)?;
-    table.set_solver_path(opts.solver_path());
-    Ok(table)
+    let ribbons = ribbons.max(1);
+    let stamp = |extra| Stamp {
+        polarity,
+        ribbons,
+        scale: ribbons as f64,
+        solver_path: opts.solver_path(),
+        tally: Some(Tally {
+            ctx,
+            builds: "device.negf_table.builds",
+            points: "device.negf_table.bias_points",
+            extra,
+        }),
+    };
+    let contacts = |vd: f64| (Lead::gnr_contact(), Lead::gnr_contact_at(-vd));
+    let Some(ms) = &opts.mode_space else {
+        return frozen.run(stamp(None), |ham, vd| {
+            let (source, drain) = contacts(vd);
+            Ok(RgfSolver::new(ham, source, drain))
+        });
+    };
+    // Mode-selection window: a band at energy B under potential U appears
+    // at B + U, so covering E ∈ [lo, hi] for every swept potential
+    // U ∈ [u_min, u_max] needs B ∈ [lo − u_max, hi − u_min]. The lead
+    // potentials 0 and −vd are folded in explicitly (the surrogate profile
+    // pins them at the faces anyway).
+    let (mut u_min, mut u_max) = (0.0f64, 0.0f64);
+    for &p in frozen.atom_pots.iter().flatten() {
+        u_min = u_min.min(p);
+        u_max = u_max.max(p);
+    }
+    for j in 0..sweep.points() {
+        u_min = u_min.min(-sweep.vds(j));
+        u_max = u_max.max(-sweep.vds(j));
+    }
+    let (lead_h00, lead_h01) = gnr_lattice::unit_cell_hamiltonian(gnr);
+    let basis = ModeBasis::build(&lead_h00, &lead_h01, lo - u_max, hi - u_min, ms)?;
+    let modes = ("device.negf_table.mode_space_modes", basis.modes() as u64);
+    frozen.run(stamp(Some(modes)), |ham, vd| {
+        let (source, drain) = contacts(vd);
+        Ok(ModeSpaceSolver::new(ham, source, drain, &basis, ms)?)
+    })
 }
 
 #[cfg(test)]
@@ -407,6 +316,18 @@ mod tests {
         let mut cfg = DeviceConfig::test_small(7).unwrap();
         cfg.channel_cells = 4;
         SbfetModel::new(&cfg).unwrap()
+    }
+
+    /// The uncached, unrefined reference: a dense uniform grid where every
+    /// energy point of every bias point pays fresh Sancho–Rubio solves.
+    fn uncached_reference() -> NegfTableOptions {
+        NegfTableOptions {
+            energy_step_ev: 0.015,
+            energy_pad_ev: 0.25,
+            refine: None,
+            use_cache: false,
+            mode_space: None,
+        }
     }
 
     fn small_grid() -> TableGrid {
@@ -427,7 +348,7 @@ mod tests {
             Polarity::NType,
             small_grid(),
             1,
-            &NegfTableOptions::legacy(),
+            &uncached_reference(),
         )
         .unwrap();
         let accel = ballistic_negf_table(
@@ -530,7 +451,7 @@ mod tests {
     fn rejects_bad_options() {
         let model = small_model();
         let ctx = ExecCtx::serial();
-        let mut bad = NegfTableOptions::legacy();
+        let mut bad = uncached_reference();
         bad.energy_step_ev = 0.0;
         assert!(
             ballistic_negf_table(&ctx, &model, Polarity::NType, small_grid(), 1, &bad).is_err()
@@ -543,7 +464,7 @@ mod tests {
             Polarity::NType,
             tiny,
             1,
-            &NegfTableOptions::legacy()
+            &uncached_reference()
         )
         .is_err());
     }

@@ -189,13 +189,26 @@ impl SbfetModel {
     /// Local mid-gap potential energy profile `U(x)` in eV (electron
     /// convention, source Fermi level at 0), including the
     /// quantum-capacitance charge correction.
-    pub fn potential_profile(&self, v_g: f64, v_d: f64) -> Vec<f64> {
-        self.profile_with(v_g, &self.column(v_d))
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeviceError::Config`] for non-finite bias input.
+    pub fn potential_profile(&self, v_g: f64, v_d: f64) -> Result<Vec<f64>, DeviceError> {
+        self.profile_with(v_g, &self.drain_column(v_d)?)
     }
 
     /// [`potential_profile`](Self::potential_profile) at gate voltage `v_g`
     /// against a prebuilt drain-bias column.
-    pub(crate) fn profile_with(&self, v_g: f64, col: &DrainColumn) -> Vec<f64> {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeviceError::Config`] for a non-finite `v_g`.
+    pub(crate) fn profile_with(
+        &self,
+        v_g: f64,
+        col: &DrainColumn,
+    ) -> Result<Vec<f64>, DeviceError> {
+        check_bias(v_g)?;
         let v_g_eff = v_g + self.cfg.gate_offset_v;
         let phi = self.responses.superpose(0.0, col.v_d, v_g_eff);
         // Laplace potential -> electron midgap energy, plus impurities.
@@ -224,44 +237,31 @@ impl SbfetModel {
                 break;
             }
         }
-        u
+        Ok(u)
     }
 
-    /// [`profile_with`](Self::profile_with) for a gate voltage that must be
-    /// finite.
-    fn checked_profile(&self, v_g: f64, col: &DrainColumn) -> Result<Vec<f64>, DeviceError> {
-        check_bias(v_g)?;
-        Ok(self.profile_with(v_g, col))
-    }
-
-    /// The drain-bias column at `v_d`.
+    /// The drain-bias column at `v_d`: the local net density tabulated as a
+    /// function of the midgap energy for the contact Fermi levels of `v_d`,
+    /// so the quantum-capacitance iteration and the charge sum do table
+    /// lookups instead of re-integrating the DOS at every site.
     ///
     /// # Errors
     ///
     /// Returns [`DeviceError::Config`] for a non-finite `v_d`.
     pub(crate) fn drain_column(&self, v_d: f64) -> Result<DrainColumn, DeviceError> {
         check_bias(v_d)?;
-        Ok(self.column(v_d))
-    }
-
-    /// Tabulates the local net density as a function of the midgap energy
-    /// for the fixed contact Fermi levels of drain bias `v_d`, so the
-    /// quantum-capacitance iteration and the charge sum do table lookups
-    /// instead of re-integrating the DOS at every site.
-    fn column(&self, v_d: f64) -> DrainColumn {
         let mu_s = 0.0f64;
         let mu_d = -v_d;
         let kt = self.cfg.temperature_k;
         let lo = -1.8 - v_d.abs();
         let hi = 1.8 + v_d.abs();
-        let n = 181;
-        let grid = gnr_num::Grid1::new(lo, hi, n).expect("static grid is valid");
-        DrainColumn {
+        let grid = gnr_num::Grid1::new(lo, hi, 181)?;
+        Ok(DrainColumn {
             v_d,
             density: gnr_num::LinearTable::from_fn(grid, |u| {
                 self.local_net_density(u, mu_s, mu_d, kt)
             }),
-        }
+        })
     }
 
     /// Net local carrier density `p − n` per nm (units of q) at local
@@ -344,7 +344,7 @@ impl SbfetModel {
     }
 
     fn current_with(&self, v_g: f64, col: &DrainColumn) -> Result<f64, DeviceError> {
-        let u = self.checked_profile(v_g, col)?;
+        let u = self.profile_with(v_g, col)?;
         Ok(self.current_from_profile(&u, col.v_d))
     }
 
@@ -380,7 +380,7 @@ impl SbfetModel {
     /// Returns [`DeviceError::Config`] for non-finite bias input.
     pub fn channel_charge(&self, v_g: f64, v_d: f64) -> Result<f64, DeviceError> {
         let col = self.drain_column(v_d)?;
-        let u = self.checked_profile(v_g, &col)?;
+        let u = self.profile_with(v_g, &col)?;
         Ok(self.charge_from_profile(&u, &col))
     }
 
@@ -413,7 +413,7 @@ impl SbfetModel {
         v_g: f64,
         col: &DrainColumn,
     ) -> Result<(f64, f64), DeviceError> {
-        let u = self.checked_profile(v_g, col)?;
+        let u = self.profile_with(v_g, col)?;
         Ok((
             self.current_from_profile(&u, col.v_d),
             self.charge_from_profile(&u, col),
@@ -422,14 +422,22 @@ impl SbfetModel {
 
     /// Conduction-band-edge profile `E_C(x)` in eV along the channel
     /// (the paper's Fig. 5(a) diagnostic): `U(x) + E_g/2`.
-    pub fn conduction_band_profile(&self, v_g: f64, v_d: f64) -> Vec<(f64, f64)> {
-        let u = self.potential_profile(v_g, v_d);
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeviceError::Config`] for non-finite bias input.
+    pub fn conduction_band_profile(
+        &self,
+        v_g: f64,
+        v_d: f64,
+    ) -> Result<Vec<(f64, f64)>, DeviceError> {
+        let u = self.potential_profile(v_g, v_d)?;
         let half_gap = self.subbands[0];
         let dx = self.responses.x_step_nm;
-        u.iter()
+        Ok(u.iter()
             .enumerate()
             .map(|(i, &ui)| ((i as f64 + 0.5) * dx, ui + half_gap))
-            .collect()
+            .collect())
     }
 
     /// The gate voltage of minimum leakage at drain bias `v_d` — the
@@ -602,7 +610,7 @@ mod tests {
     #[test]
     fn band_profile_has_schottky_barriers() {
         let m = model(12);
-        let prof = m.conduction_band_profile(0.5, 0.5);
+        let prof = m.conduction_band_profile(0.5, 0.5).unwrap();
         let half_gap = m.band_gap() / 2.0;
         // At the source face the conduction band is pinned at Eg/2 exactly;
         // mid-channel the gate pulls it far below.
@@ -623,9 +631,35 @@ mod tests {
         assert!(m.channel_charge(0.1, f64::INFINITY).is_err());
         assert!(m.evaluate(0.1, f64::NAN).is_err());
         assert!(m.drain_column(f64::NEG_INFINITY).is_err());
+        // Finite, but the column's energy span overflows.
+        assert!(m.drain_column(f64::MAX).is_err());
         let col = m.drain_column(0.5).unwrap();
         assert!(m.evaluate_with(f64::INFINITY, &col).is_err());
         assert!(m.minimum_leakage_vg(f64::NAN).is_err());
+    }
+
+    #[test]
+    fn profiles_reject_non_finite_bias() {
+        let m = model(9);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (v_g, v_d) in [(bad, 0.5), (0.3, bad)] {
+                let at = format!("({v_g}, {v_d})");
+                assert!(
+                    matches!(
+                        m.potential_profile(v_g, v_d),
+                        Err(DeviceError::Config { .. })
+                    ),
+                    "potential_profile{at}"
+                );
+                assert!(
+                    matches!(
+                        m.conduction_band_profile(v_g, v_d),
+                        Err(DeviceError::Config { .. })
+                    ),
+                    "conduction_band_profile{at}"
+                );
+            }
+        }
     }
 
     /// A prebuilt drain-bias column reproduces `evaluate` bit for bit, on

@@ -81,43 +81,6 @@ impl ScfOptions {
             ..ScfOptions::fast()
         }
     }
-
-    /// Sets the maximum number of SCF iterations.
-    pub fn with_max_iterations(mut self, n: usize) -> Self {
-        self.max_iterations = n;
-        self
-    }
-
-    /// Sets the convergence threshold on the potential update \[V\].
-    pub fn with_tolerance_v(mut self, tol: f64) -> Self {
-        self.tolerance_v = tol;
-        self
-    }
-
-    /// Sets the linear mixing factor in `(0, 1]`.
-    pub fn with_mixing(mut self, mixing: f64) -> Self {
-        self.mixing = mixing;
-        self
-    }
-
-    /// Sets the number of energy grid points (the coarse base grid when
-    /// `refine` is set).
-    pub fn with_energy_points(mut self, n: usize) -> Self {
-        self.energy_points = n;
-        self
-    }
-
-    /// Sets the energy-window margin beyond the bias window \[eV\].
-    pub fn with_energy_margin_ev(mut self, margin: f64) -> Self {
-        self.energy_margin_ev = margin;
-        self
-    }
-
-    /// Sets (or clears) adaptive energy-grid refinement.
-    pub fn with_refine(mut self, refine: Option<RefineOptions>) -> Self {
-        self.refine = refine;
-        self
-    }
 }
 
 /// Converged output of one bias point.
@@ -561,7 +524,10 @@ mod tests {
     #[test]
     fn infinite_energy_margin_is_a_config_error() {
         // An infinite window would make every grid energy NaN.
-        let opts = ScfOptions::fast().with_energy_margin_ev(f64::INFINITY);
+        let opts = ScfOptions {
+            energy_margin_ev: f64::INFINITY,
+            ..ScfOptions::fast()
+        };
         let r = ScfSolver::new(&tiny_cfg(), opts).solve(&strict(), 0.0, 0.1);
         assert!(
             matches!(

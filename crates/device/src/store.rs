@@ -235,16 +235,20 @@ impl TableStore {
     /// serializes byte-identically to the cold build that populated the
     /// entry. Corrupt disk entries are evicted and rebuilt.
     ///
+    /// The error type is the caller's: `build` returns it directly, and
+    /// the store's own failures convert into it.
+    ///
     /// # Errors
     ///
     /// Propagates `build` failures and serialization errors.
-    pub fn get_or_build<F>(&self, key: u64, build: F) -> Result<DeviceTable, DeviceError>
+    pub fn get_or_build<E, F>(&self, key: u64, build: F) -> Result<DeviceTable, E>
     where
-        F: FnOnce() -> Result<DeviceTable, DeviceError>,
+        E: From<DeviceError>,
+        F: FnOnce() -> Result<DeviceTable, E>,
     {
         if let Some(json) = self.lock_mem().get(&key).cloned() {
             telemetry::counter_inc("table_cache.hits");
-            return DeviceTable::from_json(&json);
+            return Ok(DeviceTable::from_json(&json)?);
         }
         if let Some(table) = self.load_disk(key) {
             telemetry::counter_inc("table_cache.hits");
@@ -390,7 +394,13 @@ mod tests {
         }
         assert_ne!(
             TableKey::new("t")
-                .negf(&NegfTableOptions::legacy())
+                .negf(&NegfTableOptions {
+                    energy_step_ev: 0.015,
+                    energy_pad_ev: 0.25,
+                    refine: None,
+                    use_cache: false,
+                    mode_space: None,
+                })
                 .finish(),
             TableKey::new("t")
                 .negf(&NegfTableOptions::accelerated())
@@ -411,9 +421,11 @@ mod tests {
     #[test]
     fn memory_hit_is_byte_identical() {
         let store = TableStore::in_memory();
-        let cold = store.get_or_build(1, || Ok(tiny_table())).expect("cold");
+        let cold = store
+            .get_or_build(1, || Ok::<_, DeviceError>(tiny_table()))
+            .expect("cold");
         let warm = store
-            .get_or_build(1, || panic!("hit must not rebuild"))
+            .get_or_build::<DeviceError, _>(1, || panic!("hit must not rebuild"))
             .expect("warm");
         assert_eq!(
             cold.to_json().expect("cold json"),
@@ -429,14 +441,14 @@ mod tests {
         let cold_json = {
             let store = TableStore::on_disk(&dir);
             store
-                .get_or_build(7, || Ok(tiny_table()))
+                .get_or_build(7, || Ok::<_, DeviceError>(tiny_table()))
                 .expect("cold")
                 .to_json()
                 .expect("json")
         };
         let store = TableStore::on_disk(&dir);
         let warm = store
-            .get_or_build(7, || panic!("disk hit must not rebuild"))
+            .get_or_build::<DeviceError, _>(7, || panic!("disk hit must not rebuild"))
             .expect("warm");
         assert_eq!(cold_json, warm.to_json().expect("json"));
         assert_eq!(store.cached_json(7).as_deref(), Some(cold_json.as_str()));
@@ -451,7 +463,7 @@ mod tests {
         let path = store.entry_path(3).expect("disk layer on");
         std::fs::create_dir_all(&dir).expect("mkdir");
         std::fs::write(&path, "{ not json").expect("plant corruption");
-        let rebuilt = store.get_or_build(3, || Ok(tiny_table()));
+        let rebuilt = store.get_or_build(3, || Ok::<_, DeviceError>(tiny_table()));
         assert!(rebuilt.is_ok(), "corrupt entry must rebuild cleanly");
         let reread = std::fs::read_to_string(&path).expect("rewritten");
         assert!(DeviceTable::from_json(&reread).is_ok(), "entry is clean");

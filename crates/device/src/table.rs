@@ -12,6 +12,10 @@
 //! ambipolar symmetry of the SBFET. Negative `V_DS` on an n-type device is
 //! handled by source/drain exchange symmetry.
 
+mod sweep;
+
+pub(crate) use sweep::{BiasSweep, Stamp, Tally};
+
 use crate::error::DeviceError;
 use crate::sbfet::SbfetModel;
 use crate::scf::ScfSolver;
@@ -96,7 +100,8 @@ impl DeviceTable {
     ///
     /// # Errors
     ///
-    /// Propagates model-evaluation failures.
+    /// Returns [`DeviceError::Config`] for an invalid grid; propagates
+    /// model-evaluation failures.
     pub fn from_model(
         ctx: &ExecCtx,
         model: &SbfetModel,
@@ -104,14 +109,9 @@ impl DeviceTable {
         grid: TableGrid,
         ribbons: usize,
     ) -> Result<Self, DeviceError> {
-        let ribbons = ribbons.max(1);
-        let mut single = Self::from_ribbon_models(ctx, &[model], polarity, grid)?;
         // Identical parallel ribbons scale linearly: evaluate once.
-        let k = ribbons as f64;
-        single.id_a = single.id_a.map(|v| v * k);
-        single.q_c = single.q_c.map(|v| v * k);
-        single.ribbons = ribbons;
-        Ok(single)
+        let ribbons = ribbons.max(1);
+        surrogate_table(ctx, &[model], polarity, grid, ribbons, ribbons as f64)
     }
 
     /// Builds a table by sampling arbitrary current/charge functions — the
@@ -120,41 +120,26 @@ impl DeviceTable {
     ///
     /// `id_fn(v_gs, v_ds)` returns amperes, `q_fn` coulombs, both in the
     /// device's *internal n-type* convention (p-type mirroring is applied
-    /// at lookup).
+    /// at lookup). Both are called once per node, serially in row-major
+    /// order.
     ///
     /// # Errors
     ///
-    /// Returns [`DeviceError::Config`] for a degenerate grid.
+    /// Returns [`DeviceError::Config`] for an invalid grid.
     pub fn from_samples(
         grid: TableGrid,
         polarity: Polarity,
         mut id_fn: impl FnMut(f64, f64) -> f64,
         mut q_fn: impl FnMut(f64, f64) -> f64,
     ) -> Result<Self, DeviceError> {
-        if grid.points < 3 {
-            return Err(DeviceError::config("table grid needs >= 3 points/axis"));
-        }
-        let gx = Grid1::new(grid.vgs.0, grid.vgs.1, grid.points)?;
-        let gy = Grid1::new(grid.vds.0, grid.vds.1, grid.points)?;
-        let g2 = Grid2::new(gx, gy);
-        let mut id_vals = Vec::with_capacity(g2.len());
-        let mut q_vals = Vec::with_capacity(g2.len());
-        for i in 0..grid.points {
-            let vg = gx.point(i);
-            for j in 0..grid.points {
-                let vd = gy.point(j);
-                id_vals.push(id_fn(vg, vd));
-                q_vals.push(q_fn(vg, vd));
-            }
-        }
-        Ok(DeviceTable {
-            id_a: BilinearTable::new(g2, id_vals)?,
-            q_c: BilinearTable::new(g2, q_vals)?,
+        let stamp = Stamp {
             polarity,
             ribbons: 1,
-            vg_shift: 0.0,
-            solver_path: "surrogate".into(),
-        })
+            scale: 1.0,
+            solver_path: "surrogate",
+            tally: None,
+        };
+        BiasSweep::new(&grid)?.serial(stamp, |n| Ok((id_fn(n.vg, n.vd), q_fn(n.vg, n.vd))))
     }
 
     /// Builds a table for a parallel array of per-ribbon models — the
@@ -174,111 +159,16 @@ impl DeviceTable {
     ///
     /// # Errors
     ///
-    /// Returns [`DeviceError::Config`] for an empty model list or a
-    /// degenerate grid; propagates model failures.
+    /// Returns [`DeviceError::Config`] for an empty model list or an
+    /// invalid grid; propagates model failures.
     pub fn from_ribbon_models<M: std::borrow::Borrow<SbfetModel> + Sync>(
         ctx: &ExecCtx,
         models: &[M],
         polarity: Polarity,
         grid: TableGrid,
     ) -> Result<Self, DeviceError> {
-        if models.is_empty() {
-            return Err(DeviceError::config("need at least one ribbon model"));
-        }
-        if grid.points < 3 {
-            return Err(DeviceError::config("table grid needs >= 3 points/axis"));
-        }
-        let gx = Grid1::new(grid.vgs.0, grid.vgs.1, grid.points)?;
-        let gy = Grid1::new(grid.vds.0, grid.vds.1, grid.points)?;
-        let g2 = Grid2::new(gx, gy);
-        let points = grid.points;
-        let mut distinct: Vec<&SbfetModel> = Vec::new();
-        let slots: Vec<usize> = models
-            .iter()
-            .map(|m| {
-                let m = m.borrow();
-                distinct
-                    .iter()
-                    .position(|&d| std::ptr::eq(d, m))
-                    .unwrap_or_else(|| {
-                        distinct.push(m);
-                        distinct.len() - 1
-                    })
-            })
-            .collect();
-        // Column `d * points + j`: distinct model `d` at V_DS node `j`.
-        let columns = ctx.try_par_map_indexed(distinct.len() * points, |c| {
-            distinct[c / points].drain_column(gy.point(c % points))
-        })?;
-        type Row = (Vec<f64>, Vec<f64>);
-        let rows = ctx.try_par_map_indexed(points, |i| -> Result<Row, DeviceError> {
-            let vg = gx.point(i);
-            let evals = columns
-                .iter()
-                .enumerate()
-                .map(|(c, col)| distinct[c / points].evaluate_with(vg, col))
-                .collect::<Result<Vec<_>, _>>()?;
-            let mut id_row = vec![0.0; points];
-            let mut q_row = vec![0.0; points];
-            for &d in &slots {
-                let ribbon = &evals[d * points..(d + 1) * points];
-                for ((id_cell, q_cell), &(id, q)) in id_row.iter_mut().zip(&mut q_row).zip(ribbon) {
-                    *id_cell += id;
-                    *q_cell += q;
-                }
-            }
-            Ok((id_row, q_row))
-        })?;
-        let mut id_vals = Vec::with_capacity(g2.len());
-        let mut q_vals = Vec::with_capacity(g2.len());
-        for (id_row, q_row) in rows {
-            id_vals.extend(id_row);
-            q_vals.extend(q_row);
-        }
-        ctx.counter_inc("device.table.builds");
-        ctx.counter_add("device.table.bias_points", g2.len() as u64);
-        Ok(DeviceTable {
-            id_a: BilinearTable::new(g2, id_vals)?,
-            q_c: BilinearTable::new(g2, q_vals)?,
-            polarity,
-            ribbons: models.len(),
-            vg_shift: 0.0,
-            solver_path: "surrogate".into(),
-        })
-    }
-
-    /// Builds a table directly from row-major (`vgs`-major) node values
-    /// already scaled to the full device. Crate-internal hook for builders
-    /// that compute whole grids up front (e.g. the ballistic NEGF sweep).
-    pub(crate) fn from_node_values(
-        grid: TableGrid,
-        polarity: Polarity,
-        ribbons: usize,
-        id_vals: Vec<f64>,
-        q_vals: Vec<f64>,
-    ) -> Result<Self, DeviceError> {
-        if grid.points < 3 {
-            return Err(DeviceError::config("table grid needs >= 3 points/axis"));
-        }
-        let gx = Grid1::new(grid.vgs.0, grid.vgs.1, grid.points)?;
-        let gy = Grid1::new(grid.vds.0, grid.vds.1, grid.points)?;
-        let g2 = Grid2::new(gx, gy);
-        if id_vals.len() != g2.len() || q_vals.len() != g2.len() {
-            return Err(DeviceError::config(format!(
-                "node value count {}/{} does not match grid size {}",
-                id_vals.len(),
-                q_vals.len(),
-                g2.len()
-            )));
-        }
-        Ok(DeviceTable {
-            id_a: BilinearTable::new(g2, id_vals)?,
-            q_c: BilinearTable::new(g2, q_vals)?,
-            polarity,
-            ribbons: ribbons.max(1),
-            vg_shift: 0.0,
-            solver_path: "surrogate".into(),
-        })
+        let models: Vec<&SbfetModel> = models.iter().map(|m| m.borrow()).collect();
+        surrogate_table(ctx, &models, polarity, grid, models.len(), 1.0)
     }
 
     /// Builds a table by running the rigorous NEGF⇄Poisson SCF loop at
@@ -287,16 +177,16 @@ impl DeviceTable {
     /// With `warm_start` set, each bias point's potential is seeded from
     /// its nearest already-solved neighbour on the grid: within a
     /// gate-voltage row the previous (lower `V_DS`) point, and at a row
-    /// head the previous row's head. The sweep itself is serial in
-    /// row-major order — the chain of seeds is then fixed regardless of
-    /// `GNR_THREADS` (the *inner* energy integration still parallelizes
-    /// over `ctx`'s pool), preserving the bit-identical determinism
-    /// contract. `warm_start = false` reproduces the independent cold
+    /// head the previous row's head, so each row depends only on its head.
+    /// The sweep itself is serial in row-major order — the chain of seeds
+    /// is then fixed regardless of `GNR_THREADS` (the *inner* energy
+    /// integration still parallelizes over `ctx`'s pool), preserving the
+    /// bit-identical determinism contract. `warm_start = false` reproduces the independent cold
     /// solves exactly.
     ///
     /// # Errors
     ///
-    /// Returns [`DeviceError::Config`] for a degenerate grid; propagates
+    /// Returns [`DeviceError::Config`] for an invalid grid; propagates
     /// SCF failures.
     pub fn from_scf(
         ctx: &ExecCtx,
@@ -306,51 +196,37 @@ impl DeviceTable {
         ribbons: usize,
         warm_start: bool,
     ) -> Result<Self, DeviceError> {
-        if grid.points < 3 {
-            return Err(DeviceError::config("table grid needs >= 3 points/axis"));
-        }
+        let sweep = BiasSweep::new(&grid)?;
         let ribbons = ribbons.max(1);
-        let k = ribbons as f64;
-        let gx = Grid1::new(grid.vgs.0, grid.vgs.1, grid.points)?;
-        let gy = Grid1::new(grid.vds.0, grid.vds.1, grid.points)?;
-        let mut id_vals = Vec::with_capacity(grid.points * grid.points);
-        let mut q_vals = Vec::with_capacity(grid.points * grid.points);
-        let mut row_head_seed: Option<Vec<f64>> = None;
-        let mut seeds = 0u64;
-        for i in 0..grid.points {
-            let vg = gx.point(i);
-            let mut prev: Option<Vec<f64>> = None;
-            for j in 0..grid.points {
-                let vd = gy.point(j);
-                let seed = if !warm_start {
-                    None
-                } else if j == 0 {
-                    row_head_seed.as_deref()
-                } else {
-                    prev.as_deref()
-                };
-                if seed.is_some() {
-                    seeds += 1;
-                }
-                let (r, _) = solver.solve_seeded(ctx, vg, vd, seed)?;
-                id_vals.push(r.current_a * k);
-                q_vals.push(r.charge_c * k);
-                if j == 0 {
-                    row_head_seed = Some(r.atom_potential_ev.clone());
-                }
-                prev = Some(r.atom_potential_ev);
+        // Every node but the first has a solved neighbour to start from.
+        let seeds = if warm_start { sweep.nodes() - 1 } else { 0 };
+        let stamp = Stamp {
+            polarity,
+            ribbons,
+            scale: ribbons as f64,
+            solver_path: "negf-scf",
+            tally: Some(Tally {
+                ctx,
+                builds: "device.table.scf_builds",
+                points: "device.table.scf_points",
+                extra: Some(("device.table.warm_seeds", seeds as u64)),
+            }),
+        };
+        let mut row_head: Option<Vec<f64>> = None;
+        let mut prev: Option<Vec<f64>> = None;
+        sweep.serial(stamp, |n| {
+            let seed = match (warm_start, n.col) {
+                (false, _) => None,
+                (true, 0) => row_head.as_deref(),
+                (true, _) => prev.as_deref(),
+            };
+            let (r, _) = solver.solve_seeded(ctx, n.vg, n.vd, seed)?;
+            if n.col == 0 {
+                row_head = Some(r.atom_potential_ev.clone());
             }
-        }
-        ctx.counter_inc("device.table.scf_builds");
-        ctx.counter_add(
-            "device.table.scf_points",
-            (grid.points * grid.points) as u64,
-        );
-        ctx.counter_add("device.table.warm_seeds", seeds);
-        let mut t = Self::from_node_values(grid, polarity, ribbons, id_vals, q_vals)?;
-        t.ribbons = ribbons;
-        t.solver_path = "negf-scf".into();
-        Ok(t)
+            prev = Some(r.atom_potential_ev);
+            Ok((r.current_a, r.charge_c))
+        })
     }
 
     /// The device polarity.
@@ -385,12 +261,6 @@ impl DeviceTable {
     /// NEGF⇄Poisson sweep.
     pub fn solver_path(&self) -> &str {
         &self.solver_path
-    }
-
-    /// Stamps the builder provenance (crate-internal; tables default to
-    /// `"surrogate"`).
-    pub(crate) fn set_solver_path(&mut self, path: &str) {
-        self.solver_path = path.into();
     }
 
     /// The current V_T-engineering shift \[V\].
@@ -604,10 +474,7 @@ impl DeviceTable {
         Ok(DeviceTable {
             id_a: BilinearTable::new(g, id_vals)?,
             q_c: BilinearTable::new(g, q_vals)?,
-            polarity: self.polarity,
-            ribbons: self.ribbons,
-            vg_shift: self.vg_shift,
-            solver_path: self.solver_path.clone(),
+            ..self.clone()
         })
     }
 
@@ -712,6 +579,69 @@ impl DeviceTable {
                 .to_string(),
         })
     }
+}
+
+/// The surrogate sweep behind [`DeviceTable::from_model`] and
+/// [`DeviceTable::from_ribbon_models`]: drain columns per distinct model ×
+/// `V_DS` node, then one row per `V_GS` node summing every listed ribbon,
+/// scaled by `scale`.
+fn surrogate_table(
+    ctx: &ExecCtx,
+    models: &[&SbfetModel],
+    polarity: Polarity,
+    grid: TableGrid,
+    ribbons: usize,
+    scale: f64,
+) -> Result<DeviceTable, DeviceError> {
+    if models.is_empty() {
+        return Err(DeviceError::config("need at least one ribbon model"));
+    }
+    let sweep = BiasSweep::new(&grid)?;
+    let points = sweep.points();
+    let mut distinct: Vec<&SbfetModel> = Vec::new();
+    let slots: Vec<usize> = models
+        .iter()
+        .map(|&m| {
+            distinct
+                .iter()
+                .position(|&d| std::ptr::eq(d, m))
+                .unwrap_or_else(|| {
+                    distinct.push(m);
+                    distinct.len() - 1
+                })
+        })
+        .collect();
+    // Column `d * points + j`: distinct model `d` at V_DS node `j`.
+    let columns = ctx.try_par_map_indexed(distinct.len() * points, |c| {
+        distinct[c / points].drain_column(sweep.vds(c % points))
+    })?;
+    let stamp = Stamp {
+        polarity,
+        ribbons,
+        scale,
+        solver_path: "surrogate",
+        tally: Some(Tally {
+            ctx,
+            builds: "device.table.builds",
+            points: "device.table.bias_points",
+            extra: None,
+        }),
+    };
+    sweep.par_rows(ctx, stamp, |vg| {
+        let evals = columns
+            .iter()
+            .enumerate()
+            .map(|(c, col)| distinct[c / points].evaluate_with(vg, col))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut row = vec![(0.0, 0.0); points];
+        for &d in &slots {
+            for (cell, &(id, q)) in row.iter_mut().zip(&evals[d * points..(d + 1) * points]) {
+                cell.0 += id;
+                cell.1 += q;
+            }
+        }
+        Ok(row)
+    })
 }
 
 #[cfg(test)]
@@ -999,6 +929,7 @@ mod tests {
     #[test]
     fn non_finite_grid_is_a_typed_error() {
         let model = SbfetModel::new(&DeviceConfig::test_small(9).unwrap()).unwrap();
+        let scf = ScfSolver::new(model.config(), crate::ScfOptions::fast());
         let finite = TableGrid::coarse();
         for grid in [
             TableGrid {
@@ -1013,12 +944,58 @@ mod tests {
                 vgs: (f64::NAN, 0.9),
                 ..finite
             },
+            TableGrid {
+                vgs: (-f64::MAX, f64::MAX),
+                ..finite
+            },
+            TableGrid {
+                vds: (0.8, 0.0),
+                ..finite
+            },
+            TableGrid {
+                points: 2,
+                ..finite
+            },
+            TableGrid {
+                points: usize::MAX,
+                ..finite
+            },
         ] {
-            let r = DeviceTable::from_ribbon_models(&ctx(), &[&model], Polarity::NType, grid);
-            assert!(
-                matches!(r, Err(DeviceError::Config { .. } | DeviceError::Num(_))),
-                "{grid:?}: {r:?}"
-            );
+            let builds = [
+                (
+                    "from_ribbon_models",
+                    DeviceTable::from_ribbon_models(&ctx(), &[&model], Polarity::NType, grid),
+                ),
+                (
+                    "from_model",
+                    DeviceTable::from_model(&ctx(), &model, Polarity::NType, grid, 4),
+                ),
+                (
+                    "from_samples",
+                    DeviceTable::from_samples(grid, Polarity::NType, |_, _| 0.0, |_, _| 0.0),
+                ),
+                (
+                    "from_scf",
+                    DeviceTable::from_scf(&ctx(), &scf, Polarity::NType, grid, 1, true),
+                ),
+                (
+                    "ballistic_negf_table",
+                    crate::ballistic_negf_table(
+                        &ctx(),
+                        &model,
+                        Polarity::NType,
+                        grid,
+                        1,
+                        &crate::NegfTableOptions::accelerated(),
+                    ),
+                ),
+            ];
+            for (what, r) in builds {
+                assert!(
+                    matches!(r, Err(DeviceError::Config { .. })),
+                    "{what} {grid:?}: {r:?}"
+                );
+            }
         }
     }
 

@@ -84,7 +84,7 @@ impl ChargeImpurity {
 /// Edge roughness of the ribbon: each edge atom is independently removed
 /// (converted to a vacancy) with the given probability.
 ///
-/// The paper points to edge roughness (its ref. [17], Yoon & Guo, APL 91,
+/// The paper points to edge roughness (its ref. \[17\], Yoon & Guo, APL 91,
 /// 073103) as the next defect mechanism "readily explored by extending the
 /// bottom-up simulation framework" — this type is that extension. Vacancies
 /// are modelled by a large on-site energy that decouples the site while

@@ -73,7 +73,7 @@ pub struct DeviceHamiltonian {
 impl DeviceHamiltonian {
     /// Builds the device Hamiltonian for `cells` unit cells with per-atom
     /// on-site potential `potential_ev` (ordered like
-    /// [`RibbonLattice::atoms`], i.e. cell-major).
+    /// [`RibbonLattice::atoms`](crate::RibbonLattice::atoms), i.e. cell-major).
     ///
     /// # Errors
     ///

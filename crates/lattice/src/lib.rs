@@ -16,7 +16,7 @@
 //! * [`BandStructure`] — E(k) subbands, band gap, and band-edge effective
 //!   masses;
 //! * [`ZGnr`] — zigzag ribbons (metallic, flat edge-state bands), the
-//!   edge-family contrast of the paper's ref. [12].
+//!   edge-family contrast of the paper's ref. \[12\].
 //!
 //! # Example
 //!

@@ -1,7 +1,7 @@
 //! Zigzag graphene nanoribbons (Z-GNRs).
 //!
 //! The paper's device work uses armchair ribbons exclusively (sub-10 nm
-//! A-GNRs are always semiconducting), but its ref. [12] — Nakada et al.,
+//! A-GNRs are always semiconducting), but its ref. \[12\] — Nakada et al.,
 //! PRB 54, 17954 — establishes the edge-shape dependence this module
 //! validates the framework against: zigzag ribbons are metallic with
 //! partially flat bands at the Fermi level (`E ≈ 0` for `k ≳ 2π/3`),

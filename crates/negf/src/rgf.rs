@@ -2,7 +2,7 @@
 //!
 //! Works layer-by-layer so the cost scales linearly with device length and
 //! cubically only in the layer width — the "efficient computational
-//! algorithms [that] make routine device simulation possible on a personal
+//! algorithms \[that\] make routine device simulation possible on a personal
 //! computer" the paper refers to.
 //!
 //! Conventions: layers `0..L`, contact 1 (source) attached to layer 0,

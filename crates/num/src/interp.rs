@@ -21,12 +21,16 @@ impl Grid1 {
     ///
     /// # Errors
     ///
-    /// Returns [`NumError::InvalidInput`] if `n < 2` or `stop <= start`.
+    /// Returns [`NumError::InvalidInput`] if `n < 2`, a bound or the span
+    /// `stop − start` is not finite, or `stop <= start`.
     pub fn new(start: f64, stop: f64, n: usize) -> NumResult<Self> {
         if n < 2 {
             return Err(NumError::invalid("grid needs at least 2 points"));
         }
-        if stop.is_nan() || start.is_nan() || stop <= start {
+        if !(start.is_finite() && stop.is_finite() && (stop - start).is_finite()) {
+            return Err(NumError::invalid("grid bounds and span must be finite"));
+        }
+        if stop <= start {
             return Err(NumError::invalid("grid stop must exceed start"));
         }
         Ok(Grid1 {
@@ -385,6 +389,10 @@ mod tests {
         assert!(Grid1::new(0.0, 1.0, 1).is_err());
         assert!(Grid1::new(1.0, 1.0, 5).is_err());
         assert!(Grid1::new(2.0, 1.0, 5).is_err());
+        assert!(Grid1::new(0.0, f64::INFINITY, 5).is_err());
+        assert!(Grid1::new(f64::NEG_INFINITY, 0.0, 5).is_err());
+        assert!(Grid1::new(f64::NAN, 1.0, 5).is_err());
+        assert!(Grid1::new(-f64::MAX, f64::MAX, 5).is_err());
     }
 
     #[test]

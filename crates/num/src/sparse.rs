@@ -224,7 +224,8 @@ impl CsrMatrix {
     }
 
     /// Builds a matrix directly from CSR parts (the inverse of
-    /// [`CsrMatrix::into_parts`]); used by fixed-pattern assemblers that
+    /// [`row_ptr`](Self::row_ptr), [`col_idx`](Self::col_idx) and
+    /// [`values`](Self::values)); used by fixed-pattern assemblers that
     /// overwrite `values` in place between factorizations.
     ///
     /// # Errors

@@ -12,7 +12,7 @@
 //! * [`dc`] — Newton operating point, DC sweeps, voltage transfer curves;
 //! * [`ac`] — small-signal frequency sweeps at a DC operating point
 //!   (complex MNA, `(G + jωC)·v = b`);
-//! * [`transient`] — backward-Euler transient with per-step Newton and
+//! * [`transient`](mod@transient) — backward-Euler transient with per-step Newton and
 //!   bias-dependent device capacitances;
 //! * [`builders`] — the paper's benchmark circuits: FO4 inverter, N-stage
 //!   ring oscillator, cross-coupled latch;

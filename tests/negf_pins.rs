@@ -275,8 +275,10 @@ fn per_energy_counters_reach_an_isolated_sink() {
     let model = SbfetModel::new(&small_ribbon()).expect("model");
     // A zero separability tolerance degrades every mode-space solver, so
     // each energy point takes the real-space fallback.
-    let degraded = NegfTableOptions::mode_space()
-        .with_mode_space(Some(ModeSpaceOptions::default().with_coupling_tol_ev(0.0)));
+    let degraded = NegfTableOptions {
+        mode_space: Some(ModeSpaceOptions::default().with_coupling_tol_ev(0.0)),
+        ..NegfTableOptions::mode_space()
+    };
     for (what, opts) in [
         ("accelerated", NegfTableOptions::accelerated()),
         ("mode-space", NegfTableOptions::mode_space()),

@@ -77,7 +77,7 @@ fn barrier_profiles_agree_qualitatively() {
     let cfg = small_device();
     let surrogate = SbfetModel::new(&cfg).unwrap();
     let (vg, vd) = (0.5, 0.2);
-    let sur_profile = surrogate.potential_profile(vg, vd);
+    let sur_profile = surrogate.potential_profile(vg, vd).unwrap();
     let mid_sur = sur_profile[sur_profile.len() / 2];
     let edge_sur = sur_profile[0].max(*sur_profile.last().unwrap());
     assert!(

@@ -159,6 +159,19 @@ fn malformed_corpus_yields_typed_errors() {
             ParseErrorKind::UnknownSubckt,
             2,
         ),
+        // Surrogate model cards whose bias grid has an infinite bound:
+        // elaboration rejects the grid instead of building a NaN table
+        // (the error pins the model card).
+        (
+            "* t\n.model sn surrogate vds1=1e999\nv1 d 0 dc 0.5\nm1 d d 0 sn\n.end\n",
+            ParseErrorKind::BadModel,
+            2,
+        ),
+        (
+            "* t\n.model sn surrogate vgs0=-1e999\nv1 d 0 dc 0.5\nm1 d d 0 sn\n.end\n",
+            ParseErrorKind::BadModel,
+            2,
+        ),
         // Self-recursive subcircuit: the error pins the instance card
         // inside the definition where expansion bottomed out.
         (
