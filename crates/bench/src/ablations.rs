@@ -9,7 +9,7 @@ use gnr_device::{DeviceConfig, DeviceTable, Polarity, SbfetModel, ScfOptions, Sc
 use gnr_lattice::{AGnr, DeviceHamiltonian};
 use gnr_negf::{Lead, RgfSolver};
 use gnr_num::budget::ExecLimits;
-use gnr_num::par::{ExecCtx, ThreadPool};
+use gnr_num::par::ExecCtx;
 use gnr_num::{c64, CMatrix};
 use gnr_spice::measure::fo4_metrics_for_cell;
 use std::hint::black_box;
@@ -123,7 +123,7 @@ fn integrator(h: &mut Harness) {
         h.bench(SUITE, &format!("integrator/{label}"), move || {
             let mut opts = TransientOptions::new(2e-9, 1e-12);
             opts.integrator = integrator;
-            black_box(transient(&ExecCtx::strict(), &circuit, &opts).expect("simulates"))
+            black_box(transient(&ExecCtx::serial(), &circuit, &opts).expect("simulates"))
         });
     }
 }
@@ -142,7 +142,7 @@ fn scf_mixing(h: &mut Harness) {
         h.bench(SUITE, &format!("scf_mixing/{mixing}"), move || {
             black_box(
                 solver
-                    .solve(&ExecCtx::strict(), 0.2, 0.2)
+                    .solve(&ExecCtx::serial(), 0.2, 0.2)
                     .expect("converges"),
             )
         });
@@ -159,7 +159,7 @@ fn scf_recovery(h: &mut Harness) {
     h.bench(SUITE, "scf_recovery/direct", || {
         black_box(
             solver
-                .solve(&ExecCtx::strict(), black_box(0.2), black_box(0.2))
+                .solve(&ExecCtx::serial(), black_box(0.2), black_box(0.2))
                 .expect("converges"),
         )
     });
@@ -188,7 +188,7 @@ fn par_scaling(h: &mut Harness) {
         points: 21,
     };
     for (label, threads) in [("serial", 1usize), ("threads4", 4)] {
-        let ctx = ExecCtx::new(ThreadPool::new(threads), Default::default());
+        let ctx = ExecCtx::with_threads(threads);
         h.bench(SUITE, &format!("par_scaling/from_model/{label}"), || {
             black_box(
                 DeviceTable::from_model(&ctx, &model, Polarity::NType, grid, 4).expect("table"),
@@ -214,7 +214,7 @@ fn device_table(h: &mut Harness) {
         vds: (0.05, 0.35),
         points: 3,
     };
-    let ctx = ExecCtx::new(ThreadPool::new(4), Default::default());
+    let ctx = ExecCtx::with_threads(4);
     for (label, opts) in [
         (
             "legacy",
@@ -292,7 +292,7 @@ fn table_cache(h: &mut Harness) {
         vds: (0.05, 0.35),
         points: 3,
     };
-    let ctx = ExecCtx::new(ThreadPool::new(4), Default::default());
+    let ctx = ExecCtx::with_threads(4);
     let opts = NegfTableOptions::accelerated();
     // The full request key is recomputed per iteration: the warm number
     // is the end-to-end cost of a cache hit, not just the map probe.
@@ -465,7 +465,7 @@ fn sparse_mna(h: &mut Harness) {
                 opts.newton.solver = solver;
                 opts.skip_dc = true;
                 opts.initial_voltages = vec![(kick, vdd)];
-                black_box(transient(&ExecCtx::strict(), &circuit, &opts).expect("simulates"))
+                black_box(transient(&ExecCtx::serial(), &circuit, &opts).expect("simulates"))
             },
         );
     }

@@ -13,8 +13,7 @@ use gnr_device::{Polarity, TableStore};
 use gnr_num::par::ExecCtx;
 use gnr_spice::builders::{ExtrinsicParasitics, InverterCell, RingOscillator};
 use gnr_spice::measure::{
-    butterfly_snm, fo4_metrics_for_cell, inverter_static_power, inverter_vtc,
-    ring_oscillator_metrics,
+    butterfly_snm, fo4_metrics_for_cell, inverter_vtc, ring_oscillator_metrics,
 };
 use std::fmt;
 
@@ -196,9 +195,8 @@ pub fn cmos_row_with_store(
 ) -> Result<BenchRow, ExploreError> {
     let cell = cmos_cell_with_store(store, node, vdd)?;
     let inv = fo4_metrics_for_cell(&cell, vdd)?;
-    let static_w = inverter_static_power(&cell, vdd)?;
     let ro = RingOscillator::uniform(&cell, stages, vdd)?;
-    let metrics = ring_oscillator_metrics(&ro, inv.delay_s, static_w)?;
+    let metrics = ring_oscillator_metrics(&ro, inv.delay_s, inv.static_power_w)?;
     let vtc = inverter_vtc(&cell, vdd, 33)?;
     let snm = butterfly_snm(&vtc, &vtc, vdd).snm();
     Ok(BenchRow {

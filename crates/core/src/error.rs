@@ -77,7 +77,7 @@ impl ExploreError {
         match self {
             ExploreError::Num(e) => e.is_budget_stop(),
             ExploreError::Device(e) => e.is_budget_stop(),
-            ExploreError::Spice(SpiceError::Linear(e)) => e.is_budget_stop(),
+            ExploreError::Spice(e) => e.is_budget_stop(),
             _ => false,
         }
     }

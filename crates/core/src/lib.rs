@@ -29,18 +29,20 @@
 //! ```no_run
 //! use gnr_num::par::ExecCtx;
 //! use gnrfet_explore::devices::{DeviceLibrary, DeviceVariant, Fidelity};
-//! use gnrfet_explore::variability::inverter_study;
+//! use gnrfet_explore::variability::inverter_figures;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let ctx = ExecCtx::from_env(); // honours GNR_THREADS
 //! let mut lib = DeviceLibrary::new(Fidelity::Fast);
-//! let nominal = inverter_study(
+//! let shift = lib.min_leakage_shift(0.4)?;
+//! let nominal = inverter_figures(
 //!     &ctx,
 //!     &mut lib,
 //!     DeviceVariant::nominal(),
 //!     DeviceVariant::nominal(),
 //!     0.4,
-//!     0.13,
+//!     shift,
+//!     None,
 //! )?;
 //! println!("nominal FO4 delay: {:.2} ps", nominal.delay_s * 1e12);
 //! # Ok(())

@@ -173,7 +173,7 @@ const DEAD_CELL: InverterFigures = InverterFigures {
 /// [`monte_carlo_from_universe`] is then microseconds per ring.
 ///
 /// The 81 cell characterizations fan out across `ctx`'s thread pool in
-/// chunks of [`CHARACTERIZE_CHECKPOINT_CHUNK`] cells. Because the nine
+/// chunks of `CHARACTERIZE_CHECKPOINT_CHUNK` cells. Because the nine
 /// n-type and nine p-type shifted tables are pre-warmed serially (the
 /// [`DeviceLibrary`] memoizes under `&mut self`) and fault probes are
 /// pre-drawn in cell order, the resulting universe — and every recorded

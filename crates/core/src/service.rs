@@ -3,9 +3,9 @@
 //! The paper's methodology — device characterization feeding
 //! circuit-level exploration — is exposed here as a small serving layer
 //! instead of one-shot figure scripts. A [`CharacterizationService`] owns
-//! an [`ExecCtx`] (thread pool, recovery policy, execution limits) and a
+//! an [`ExecCtx`] (thread pool, fault log, telemetry, execution limits) and a
 //! [`DeviceLibrary`] riding a content-addressed
-//! [`TableStore`](gnr_device::TableStore), and processes typed
+//! [`TableStore`], and processes typed
 //! [`JobRequest`]s:
 //!
 //! * [`JobRequest::Characterize`] — build the 81-cell stage universe for

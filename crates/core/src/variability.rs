@@ -129,24 +129,6 @@ pub fn inverter_figures_from_tables(
     })
 }
 
-/// Back-compat convenience used by the crate example: nominal-shift study
-/// of a single variant pair at `(vdd, vt_target)`.
-///
-/// # Errors
-///
-/// Propagates measurement failures.
-pub fn inverter_study(
-    ctx: &ExecCtx,
-    lib: &mut DeviceLibrary,
-    n_variant: DeviceVariant,
-    p_variant: DeviceVariant,
-    vdd: f64,
-    _vt_target: f64,
-) -> Result<InverterFigures, ExploreError> {
-    let shift = lib.min_leakage_shift(vdd)?;
-    inverter_figures(ctx, lib, n_variant, p_variant, vdd, shift, None)
-}
-
 /// One table cell: both array scenarios of the same variant pair.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScenarioPair {

@@ -14,7 +14,7 @@ use crate::error::DeviceError;
 use gnr_lattice::DeviceHamiltonian;
 use gnr_negf::transport::{integrate_transport, EnergyGrid, RefineOptions, TransportOptions};
 use gnr_negf::{Lead, RgfSolver};
-use gnr_num::par::{ExecCtx, RecoveryPolicy};
+use gnr_num::par::ExecCtx;
 use gnr_num::recover::{AttemptReport, EscalationLadder, SolveReport};
 use gnr_poisson::PoissonSolution;
 
@@ -118,27 +118,24 @@ impl ScfSolver {
         }
     }
 
-    /// Runs the SCF loop at bias `(v_g, v_d)` with the source grounded,
-    /// under the execution context's policy and thread pool (the inner
-    /// energy integration parallelizes over `ctx`).
+    /// Runs the SCF loop at bias `(v_g, v_d)` with the source grounded on
+    /// the execution context's thread pool (the inner energy integration
+    /// parallelizes over `ctx`).
     ///
-    /// With [`RecoveryPolicy::Strict`] only the nominal attempt runs and
-    /// any divergence propagates as an error — byte-for-byte the historic
-    /// plain `solve`. With [`RecoveryPolicy::Ladder`] the nominal attempt
-    /// (still bit-identical when it converges) is followed on divergence by
-    /// a mixing backoff continuing from the last potential, a fresh restart
+    /// The solve runs on an [`EscalationLadder`]: the nominal attempt (the
+    /// plain SCF loop when it converges) is followed on divergence by a
+    /// mixing backoff continuing from the last potential, a fresh restart
     /// at quarter mixing, and a restart on a twice-finer energy grid; if no
     /// rung converges, the lowest-residual best-effort result is returned
     /// flagged [`Degraded`](gnr_num::recover::Quality::Degraded) in the
-    /// report instead of an `Err`.
+    /// report instead of an `Err`. A budget stop skips the remaining rungs.
     ///
     /// # Errors
     ///
-    /// Under `Strict`, returns [`DeviceError::ScfDiverged`] when the
-    /// potential update fails to fall below tolerance. Under `Ladder`,
-    /// returns the first attempt's error only when every rung fails without
-    /// producing even a best-effort iterate (e.g. configuration or upstream
-    /// solver failures).
+    /// Returns the budget stop when `ctx`'s limits trip; otherwise the
+    /// first attempt's error, only when every rung fails without producing
+    /// even a best-effort iterate (e.g. configuration or upstream solver
+    /// failures).
     pub fn solve(
         &self,
         ctx: &ExecCtx,
@@ -166,25 +163,6 @@ impl ScfSolver {
         seed_u: Option<&[f64]>,
     ) -> Result<(ScfResult, SolveReport), DeviceError> {
         ctx.counter_inc("scf.solves");
-        match ctx.recovery() {
-            RecoveryPolicy::Strict => {
-                let mut best = None;
-                let r = self.solve_inner(ctx, v_g, v_d, &self.opts, seed_u, &mut best)?;
-                let report = SolveReport::single("nominal", r.iterations, r.residual_v);
-                Ok((r, report))
-            }
-            RecoveryPolicy::Ladder => self.solve_laddered(ctx, v_g, v_d, seed_u),
-        }
-    }
-
-    /// The escalation-ladder solve behind [`RecoveryPolicy::Ladder`].
-    fn solve_laddered(
-        &self,
-        ctx: &ExecCtx,
-        v_g: f64,
-        v_d: f64,
-        seed_u: Option<&[f64]>,
-    ) -> Result<(ScfResult, SolveReport), DeviceError> {
         struct ScfPolicy {
             opts: ScfOptions,
             reuse_potential: bool,
@@ -237,16 +215,9 @@ impl ScfSolver {
             );
 
         let mut carry_u: Option<Vec<f64>> = None;
-        let mut first_err: Option<DeviceError> = None;
-        // A budget stop must not burn further rescue rungs: record it and
-        // short-circuit the remaining ladder.
-        let mut stop_err: Option<DeviceError> = None;
-        let outcome = ladder.run(|_, policy: &ScfPolicy| {
-            if stop_err.is_some() {
-                return AttemptReport::failed("skipped: budget stop");
-            }
+        let outcome = ladder.run(DeviceError::is_budget_stop, |_, policy: &ScfPolicy| {
             if gnr_num::fault::should_fail("scf") {
-                return AttemptReport::failed("injected fault: scf attempt suppressed");
+                return AttemptReport::skipped("injected fault: scf attempt suppressed");
             }
             let init = if policy.reuse_potential {
                 carry_u.as_deref()
@@ -261,23 +232,14 @@ impl ScfSolver {
                     let (it, res) = (r.iterations, r.residual_v);
                     AttemptReport::converged(r, it, res)
                 }
-                Err(err) => {
-                    let msg = err.to_string();
-                    let budget_stop = matches!(&err, DeviceError::Num(e) if e.is_budget_stop());
-                    if budget_stop {
-                        stop_err = Some(err);
-                    } else if first_err.is_none() {
-                        first_err = Some(err);
+                Err(err) => match best {
+                    Some((result, u_atoms)) => {
+                        carry_u = Some(u_atoms);
+                        let (it, res) = (result.iterations, result.residual_v);
+                        AttemptReport::degraded(result, it, res)
                     }
-                    match best {
-                        Some((result, u_atoms)) => {
-                            carry_u = Some(u_atoms);
-                            let (it, res) = (result.iterations, result.residual_v);
-                            AttemptReport::degraded(result, it, res)
-                        }
-                        None => AttemptReport::failed(msg),
-                    }
-                }
+                    None => AttemptReport::failed(err),
+                },
             }
         });
         if outcome.report.attempts.len() > 1 {
@@ -289,9 +251,9 @@ impl ScfSolver {
         if outcome.report.degraded() {
             ctx.counter_inc("scf.degraded");
         }
-        match outcome.value {
-            Some(result) => Ok((result, outcome.report)),
-            None => Err(stop_err.or(first_err).unwrap_or(DeviceError::ScfDiverged {
+        match outcome.result {
+            Ok(result) => Ok((result, outcome.report)),
+            Err(e) => Err(e.into_error(|| DeviceError::ScfDiverged {
                 iterations: 0,
                 residual_v: f64::NAN,
             })),
@@ -507,18 +469,17 @@ mod tests {
         cfg
     }
 
-    fn strict() -> ExecCtx {
-        ExecCtx::strict()
-    }
-
     #[test]
     fn scf_converges_at_off_state() {
         let solver = ScfSolver::new(&tiny_cfg(), ScfOptions::fast());
-        let (r, report) = solver.solve(&strict(), 0.0, 0.1).unwrap();
+        let (r, report) = solver.solve(&ExecCtx::serial(), 0.0, 0.1).unwrap();
         assert!(r.residual_v < ScfOptions::fast().tolerance_v);
         assert!(r.iterations >= 1);
         assert!(r.current_a.is_finite());
-        assert!(report.nominal(), "strict solve reports one nominal attempt");
+        assert!(
+            report.nominal(),
+            "fault-free solve reports one nominal attempt"
+        );
     }
 
     #[test]
@@ -528,7 +489,7 @@ mod tests {
             energy_margin_ev: f64::INFINITY,
             ..ScfOptions::fast()
         };
-        let r = ScfSolver::new(&tiny_cfg(), opts).solve(&strict(), 0.0, 0.1);
+        let r = ScfSolver::new(&tiny_cfg(), opts).solve(&ExecCtx::serial(), 0.0, 0.1);
         assert!(
             matches!(
                 r,
@@ -541,8 +502,8 @@ mod tests {
     #[test]
     fn scf_gate_modulates_barrier() {
         let solver = ScfSolver::new(&tiny_cfg(), ScfOptions::fast());
-        let (low, _) = solver.solve(&strict(), 0.0, 0.1).unwrap();
-        let (high, _) = solver.solve(&strict(), 0.5, 0.1).unwrap();
+        let (low, _) = solver.solve(&ExecCtx::serial(), 0.0, 0.1).unwrap();
+        let (high, _) = solver.solve(&ExecCtx::serial(), 0.5, 0.1).unwrap();
         // Higher gate voltage pulls the mid-channel potential down.
         let mid = low.layer_potential_ev.len() / 2;
         assert!(
@@ -561,8 +522,8 @@ mod tests {
         cfg.channel_cells = 18;
         let solver = ScfSolver::new(&cfg, ScfOptions::fast());
         let vd = 0.3;
-        let (off, _) = solver.solve(&strict(), vd / 2.0, vd).unwrap();
-        let (on, _) = solver.solve(&strict(), 0.6, vd).unwrap();
+        let (off, _) = solver.solve(&ExecCtx::serial(), vd / 2.0, vd).unwrap();
+        let (on, _) = solver.solve(&ExecCtx::serial(), 0.6, vd).unwrap();
         assert!(
             on.current_a > 2.0 * off.current_a.abs().max(1e-12),
             "on {:.3e} off {:.3e}",
@@ -574,7 +535,9 @@ mod tests {
     #[test]
     fn recovery_nominal_path_is_bit_identical() {
         let solver = ScfSolver::new(&tiny_cfg(), ScfOptions::fast());
-        let (plain, _) = solver.solve(&strict(), 0.0, 0.1).unwrap();
+        let plain = solver
+            .solve_inner(&ExecCtx::serial(), 0.0, 0.1, &solver.opts, None, &mut None)
+            .unwrap();
         let (laddered, report) = solver.solve(&ExecCtx::serial(), 0.0, 0.1).unwrap();
         assert!(report.nominal(), "fault-free: first rung must win");
         assert_eq!(report.policy_used.as_deref(), Some("nominal"));
@@ -587,8 +550,8 @@ mod tests {
     #[test]
     fn parallel_solve_bit_identical_to_serial() {
         let solver = ScfSolver::new(&tiny_cfg(), ScfOptions::fast());
-        let (serial, _) = solver.solve(&strict(), 0.3, 0.2).unwrap();
-        let par_ctx = ExecCtx::with_threads(4).with_recovery(RecoveryPolicy::Strict);
+        let (serial, _) = solver.solve(&ExecCtx::serial(), 0.3, 0.2).unwrap();
+        let par_ctx = ExecCtx::with_threads(4);
         let (par, _) = solver.solve(&par_ctx, 0.3, 0.2).unwrap();
         assert_eq!(serial.current_a.to_bits(), par.current_a.to_bits());
         assert_eq!(serial.charge_c.to_bits(), par.charge_c.to_bits());
@@ -626,7 +589,6 @@ mod tests {
             ..ScfOptions::fast()
         };
         let solver = ScfSolver::new(&tiny_cfg(), opts);
-        assert!(solver.solve(&strict(), 0.0, 0.1).is_err());
         let (result, report) = solver.solve(&ExecCtx::serial(), 0.0, 0.1).unwrap();
         assert!(report.degraded());
         assert_eq!(report.attempts.len(), 4, "every rung attempted");
@@ -637,12 +599,12 @@ mod tests {
     #[test]
     fn warm_start_converges_faster_to_same_point() {
         let solver = ScfSolver::new(&tiny_cfg(), ScfOptions::fast());
-        let (cold, _) = solver.solve(&strict(), 0.3, 0.1).unwrap();
+        let (cold, _) = solver.solve(&ExecCtx::serial(), 0.3, 0.1).unwrap();
         // Neighbouring bias point, seeded with the converged potential.
         let (warm, _) = solver
-            .solve_seeded(&strict(), 0.3, 0.15, Some(&cold.atom_potential_ev))
+            .solve_seeded(&ExecCtx::serial(), 0.3, 0.15, Some(&cold.atom_potential_ev))
             .unwrap();
-        let (cold2, _) = solver.solve(&strict(), 0.3, 0.15).unwrap();
+        let (cold2, _) = solver.solve(&ExecCtx::serial(), 0.3, 0.15).unwrap();
         assert!(
             warm.iterations <= cold2.iterations,
             "warm {} vs cold {}",
@@ -663,8 +625,10 @@ mod tests {
     #[test]
     fn unseeded_solve_seeded_is_solve() {
         let solver = ScfSolver::new(&tiny_cfg(), ScfOptions::fast());
-        let (a, _) = solver.solve(&strict(), 0.2, 0.1).unwrap();
-        let (b, _) = solver.solve_seeded(&strict(), 0.2, 0.1, None).unwrap();
+        let (a, _) = solver.solve(&ExecCtx::serial(), 0.2, 0.1).unwrap();
+        let (b, _) = solver
+            .solve_seeded(&ExecCtx::serial(), 0.2, 0.1, None)
+            .unwrap();
         assert_eq!(a.current_a.to_bits(), b.current_a.to_bits());
         assert_eq!(a.iterations, b.iterations);
         assert_eq!(a.atom_potential_ev, b.atom_potential_ev);
@@ -674,8 +638,8 @@ mod tests {
     fn adaptive_energy_grid_matches_uniform_physics() {
         let uniform = ScfSolver::new(&tiny_cfg(), ScfOptions::fast());
         let adaptive = ScfSolver::new(&tiny_cfg(), ScfOptions::fast_adaptive());
-        let (u, _) = uniform.solve(&strict(), 0.4, 0.2).unwrap();
-        let (a, _) = adaptive.solve(&strict(), 0.4, 0.2).unwrap();
+        let (u, _) = uniform.solve(&ExecCtx::serial(), 0.4, 0.2).unwrap();
+        let (a, _) = adaptive.solve(&ExecCtx::serial(), 0.4, 0.2).unwrap();
         let scale = u.current_a.abs().max(1e-12);
         assert!(
             (u.current_a - a.current_a).abs() / scale < 0.15,
@@ -690,8 +654,8 @@ mod tests {
     #[test]
     fn scf_accumulates_electrons_at_high_gate() {
         let solver = ScfSolver::new(&tiny_cfg(), ScfOptions::fast());
-        let (off, _) = solver.solve(&strict(), 0.05, 0.1).unwrap();
-        let (on, _) = solver.solve(&strict(), 0.6, 0.1).unwrap();
+        let (off, _) = solver.solve(&ExecCtx::serial(), 0.05, 0.1).unwrap();
+        let (on, _) = solver.solve(&ExecCtx::serial(), 0.6, 0.1).unwrap();
         // Electron accumulation makes the net channel charge more negative.
         assert!(
             on.charge_c < off.charge_c,

@@ -3,7 +3,7 @@
 //! For a ballistic two-terminal device the electron correlation function
 //! splits exactly into contact-resolved spectral pieces,
 //! `Gⁿ = A₁ f₁ + A₂ f₂`, so the charge at atom *i* and the terminal current
-//! are energy integrals over the [`SpectralSlice`](crate::rgf::SpectralSlice)
+//! are energy integrals over the [`SpectralSlice`]
 //! data produced by the RGF sweeps:
 //!
 //! ```text

@@ -6,7 +6,7 @@
 //!
 //! # Cost model
 //!
-//! Mirrors the fault injector ([`fault`](crate::fault)): an *unlimited*
+//! Mirrors the fault injector ([`fault`]): an *unlimited*
 //! [`ExecLimits`] check is a single relaxed atomic load (the injector's
 //! disarmed probe) plus two `Option` tests — no clock read, no lock, no
 //! allocation — so production hot paths pay nothing for the plumbing.

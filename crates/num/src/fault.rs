@@ -9,7 +9,7 @@
 //! default), a probe is a single relaxed atomic load, so the hot path pays
 //! nothing in production.
 //!
-//! Determinism: every site draws from its own [`Rng`](crate::rng::Rng)
+//! Determinism: every site draws from its own [`Rng`]
 //! stream, seeded from the plan seed and the site label, so the outcome
 //! sequence of one site is independent of how often other sites probe.
 //!

@@ -58,7 +58,7 @@ pub use dense::Matrix;
 pub use error::{NumError, NumResult};
 pub use interp::{BilinearTable, Grid1, Grid2, LinearTable};
 pub use json::Json;
-pub use par::{ExecCtx, RecoveryPolicy, ThreadPool};
+pub use par::{ExecCtx, ThreadPool};
 pub use recover::{
     Attempt, AttemptOutcome, AttemptReport, EscalationLadder, FaultEvent, FaultLog, Quality,
     SharedFaultLog, SolveReport,

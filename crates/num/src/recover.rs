@@ -60,20 +60,13 @@ pub struct SolveReport {
 }
 
 impl SolveReport {
-    /// Report for a single converged attempt — what a strict (ladder-free)
-    /// solve produces.
-    pub fn single(policy: impl Into<String>, iterations: usize, residual: f64) -> Self {
-        let policy = policy.into();
+    fn new(quality: Quality, policy_used: Option<String>, attempts: Vec<Attempt>) -> Self {
+        let residual_trajectory = attempts.iter().map(|a| a.residual).collect();
         SolveReport {
-            quality: Quality::Converged,
-            policy_used: Some(policy.clone()),
-            attempts: vec![Attempt {
-                policy,
-                iterations,
-                residual,
-                error: None,
-            }],
-            residual_trajectory: vec![residual],
+            quality,
+            policy_used,
+            attempts,
+            residual_trajectory,
         }
     }
 
@@ -102,26 +95,32 @@ pub enum AttemptOutcome<T> {
     /// The attempt produced a usable best-effort result without meeting
     /// the target.
     Degraded(T),
-    /// The attempt produced nothing usable.
+    /// The attempt produced nothing usable; the string is the report text.
     Failed(String),
 }
 
-/// One classified attempt: the outcome plus its iteration/residual stats.
+/// One classified attempt: the outcome, the typed error behind it, and its
+/// iteration/residual stats.
 #[derive(Debug)]
-pub struct AttemptReport<T> {
+pub struct AttemptReport<T, E> {
     /// What the attempt produced.
     pub outcome: AttemptOutcome<T>,
+    /// The typed error of a failed (or degraded) attempt. The ladder
+    /// classifies it as a budget stop or keeps it as a candidate first
+    /// error; `None` for a rung that was skipped without running.
+    pub error: Option<E>,
     /// Iterations used (0 when unknown).
     pub iterations: usize,
     /// Final residual (NaN when unknown).
     pub residual: f64,
 }
 
-impl<T> AttemptReport<T> {
+impl<T, E> AttemptReport<T, E> {
     /// A converged attempt.
     pub fn converged(value: T, iterations: usize, residual: f64) -> Self {
         AttemptReport {
             outcome: AttemptOutcome::Converged(value),
+            error: None,
             iterations,
             residual,
         }
@@ -131,25 +130,51 @@ impl<T> AttemptReport<T> {
     pub fn degraded(value: T, iterations: usize, residual: f64) -> Self {
         AttemptReport {
             outcome: AttemptOutcome::Degraded(value),
+            error: None,
             iterations,
             residual,
         }
     }
 
-    /// A failed attempt.
-    pub fn failed(error: impl Into<String>) -> Self {
+    /// A rung that did not run (below a floor, suppressed by fault
+    /// injection): the report records `message` and no typed error.
+    pub fn skipped(message: impl Into<String>) -> Self {
         AttemptReport {
-            outcome: AttemptOutcome::Failed(error.into()),
+            outcome: AttemptOutcome::Failed(message.into()),
+            error: None,
             iterations: 0,
             residual: f64::NAN,
         }
     }
+
+    /// Attaches the typed error behind the attempt, keeping its outcome
+    /// and report text.
+    pub fn with_error(mut self, error: E) -> Self {
+        self.error = Some(error);
+        self
+    }
 }
+
+impl<T, E: std::fmt::Display> AttemptReport<T, E> {
+    /// A failed attempt; the report records the error's message.
+    pub fn failed(error: E) -> Self {
+        AttemptReport::skipped(error.to_string()).with_error(error)
+    }
+}
+
+/// Report text of a rung skipped because an earlier rung hit a budget stop.
+const BUDGET_STOP_SKIP: &str = "skipped: budget stop";
 
 /// An ordered sequence of named retry policies.
 ///
 /// `P` is the per-rung policy payload (e.g. an options struct); the caller
 /// supplies a closure that runs one attempt under a given policy.
+///
+/// The ladder owns the rescue policy of every chain that runs on it:
+/// the first converged rung wins; otherwise the lowest-residual degraded
+/// value is kept; a budget stop skips every later rung and outranks
+/// other errors; and when no rung yields a value, the first attempt's
+/// error is the one reported.
 #[derive(Clone, Debug, Default)]
 pub struct EscalationLadder<P> {
     rungs: Vec<(String, P)>,
@@ -179,13 +204,37 @@ impl<P> EscalationLadder<P> {
 
     /// Runs rungs in order until one converges. Returns the converged
     /// value, or — if none converged — the lowest-residual degraded value,
-    /// or `None` if every rung failed outright. The report records every
-    /// attempt either way.
-    pub fn run<T>(&self, mut attempt: impl FnMut(&str, &P) -> AttemptReport<T>) -> RunOutcome<T> {
+    /// or the [`LadderError`] when no rung produced one. `is_stop` picks
+    /// out budget stops among the attempts' typed errors: after a stop,
+    /// the remaining rungs are recorded as skipped without running. The
+    /// report records every rung either way.
+    pub fn run<T, E>(
+        &self,
+        is_stop: impl Fn(&E) -> bool,
+        mut attempt: impl FnMut(&str, &P) -> AttemptReport<T, E>,
+    ) -> RunOutcome<T, E> {
         let mut attempts = Vec::with_capacity(self.rungs.len());
         let mut best_degraded: Option<(T, f64, String)> = None;
+        let mut stop: Option<E> = None;
+        let mut first: Option<E> = None;
+        let mut last: Option<E> = None;
         for (label, policy) in &self.rungs {
+            if stop.is_some() {
+                attempts.push(Attempt {
+                    policy: label.clone(),
+                    iterations: 0,
+                    residual: f64::NAN,
+                    error: Some(BUDGET_STOP_SKIP.to_string()),
+                });
+                continue;
+            }
             let rep = attempt(label, policy);
+            match rep.error {
+                Some(err) if is_stop(&err) => stop = Some(err),
+                Some(err) if first.is_none() => first = Some(err),
+                Some(err) => last = Some(err),
+                None => {}
+            }
             let mut record = Attempt {
                 policy: label.clone(),
                 iterations: rep.iterations,
@@ -195,15 +244,9 @@ impl<P> EscalationLadder<P> {
             match rep.outcome {
                 AttemptOutcome::Converged(value) => {
                     attempts.push(record);
-                    let trajectory = attempts.iter().map(|a| a.residual).collect();
                     return RunOutcome {
-                        value: Some(value),
-                        report: SolveReport {
-                            quality: Quality::Converged,
-                            policy_used: Some(label.clone()),
-                            attempts,
-                            residual_trajectory: trajectory,
-                        },
+                        result: Ok(value),
+                        report: SolveReport::new(Quality::Converged, Some(label.clone()), attempts),
                     };
                 }
                 AttemptOutcome::Degraded(value) => {
@@ -217,40 +260,61 @@ impl<P> EscalationLadder<P> {
                         best_degraded = Some((value, rep.residual, label.clone()));
                     }
                 }
-                AttemptOutcome::Failed(err) => record.error = Some(err),
+                AttemptOutcome::Failed(message) => record.error = Some(message),
             }
             attempts.push(record);
         }
-        let trajectory: Vec<f64> = attempts.iter().map(|a| a.residual).collect();
         match best_degraded {
             Some((value, _, label)) => RunOutcome {
-                value: Some(value),
-                report: SolveReport {
-                    quality: Quality::Degraded,
-                    policy_used: Some(label),
-                    attempts,
-                    residual_trajectory: trajectory,
-                },
+                result: Ok(value),
+                report: SolveReport::new(Quality::Degraded, Some(label), attempts),
             },
             None => RunOutcome {
-                value: None,
-                report: SolveReport {
-                    quality: Quality::Failed,
-                    policy_used: None,
-                    attempts,
-                    residual_trajectory: trajectory,
-                },
+                result: Err(match (stop, first) {
+                    (Some(stop), _) => LadderError::Stopped(stop),
+                    (None, Some(first)) => LadderError::Failed { first, last },
+                    (None, None) => LadderError::AllSkipped,
+                }),
+                report: SolveReport::new(Quality::Failed, None, attempts),
             },
         }
     }
 }
 
-/// Result of [`EscalationLadder::run`]: the kept value (if any) plus the
-/// full report.
+/// Why an [`EscalationLadder`] run produced no value.
 #[derive(Debug)]
-pub struct RunOutcome<T> {
-    /// Converged or best-degraded value; `None` when every rung failed.
-    pub value: Option<T>,
+pub enum LadderError<E> {
+    /// A rung hit a budget stop; every later rung was skipped.
+    Stopped(E),
+    /// Every rung failed. `first` is the first attempt's error; `last` is
+    /// the last failed rung's error when a later rung failed too.
+    Failed {
+        /// The first attempt's error.
+        first: E,
+        /// The error of the last failed rung after the first, if any.
+        last: Option<E>,
+    },
+    /// No rung ran to a typed error (every attempt was skipped).
+    AllSkipped,
+}
+
+impl<E> LadderError<E> {
+    /// The error a chain reports: the stop, else the first attempt's
+    /// error, else `all_skipped()`.
+    pub fn into_error(self, all_skipped: impl FnOnce() -> E) -> E {
+        match self {
+            LadderError::Stopped(e) | LadderError::Failed { first: e, .. } => e,
+            LadderError::AllSkipped => all_skipped(),
+        }
+    }
+}
+
+/// Result of [`EscalationLadder::run`]: the kept value or the ladder's
+/// error, plus the full report.
+#[derive(Debug)]
+pub struct RunOutcome<T, E> {
+    /// Converged or best-degraded value, or why there is none.
+    pub result: Result<T, LadderError<E>>,
     /// Record of every attempt.
     pub report: SolveReport,
 }
@@ -391,8 +455,9 @@ impl SharedFaultLog {
 ///
 /// # Errors
 ///
-/// Returns the first rung's error when every rung fails, alongside the
-/// report describing each failed attempt.
+/// Returns the budget stop when the ladder was cut short, else the first
+/// rung's error when every rung fails, alongside the report describing
+/// each attempt.
 pub fn solve_linear_robust(
     a: &CsrMatrix,
     b: &[f64],
@@ -414,16 +479,9 @@ pub fn solve_linear_robust(
     ladder = ladder.rung("bicgstab", Rung::Bicgstab);
     ladder = ladder.rung("sparse-lu", Rung::SparseLu);
 
-    let mut first_err: Option<NumError> = None;
-    let mut stop_err: Option<NumError> = None;
-    let outcome = ladder.run(|label, rung| {
-        if stop_err.is_some() {
-            return AttemptReport::failed("skipped: budget stop");
-        }
+    let outcome = ladder.run(NumError::is_budget_stop, |label, rung| {
         if let Err(e) = limits.check("linear.ladder") {
-            let msg = e.to_string();
-            stop_err = Some(e);
-            return AttemptReport::failed(msg);
+            return AttemptReport::failed(e);
         }
         if telemetry::is_armed() {
             telemetry::counter_inc(&format!("linear.{label}.calls"));
@@ -455,10 +513,7 @@ pub fn solve_linear_robust(
                 if telemetry::is_armed() {
                     telemetry::counter_inc(&format!("linear.{label}.failures"));
                 }
-                if first_err.is_none() {
-                    first_err = Some(err.clone());
-                }
-                AttemptReport::failed(err.to_string())
+                AttemptReport::failed(err)
             }
         }
     });
@@ -468,17 +523,10 @@ pub fn solve_linear_robust(
             (outcome.report.attempts.len() - 1) as u64,
         );
     }
-    match outcome.value {
-        Some(solution) => (Ok(solution), outcome.report),
-        None => {
-            // A budget stop outranks solver errors: the caller must see
-            // that the ladder was cut short, not that a rung diverged.
-            let err = stop_err
-                .or(first_err)
-                .unwrap_or_else(|| NumError::invalid("empty ladder"));
-            (Err(err), outcome.report)
-        }
-    }
+    let result = outcome
+        .result
+        .map_err(|e| e.into_error(|| NumError::invalid("empty ladder")));
+    (result, outcome.report)
 }
 
 fn sparse_lu_attempt(
@@ -539,20 +587,45 @@ mod tests {
         b.build()
     }
 
+    /// A fake typed error: `stop` marks a budget stop.
+    #[derive(Debug, PartialEq)]
+    struct Fake {
+        msg: &'static str,
+        stop: bool,
+    }
+
+    impl std::fmt::Display for Fake {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.write_str(self.msg)
+        }
+    }
+
+    fn fail(msg: &'static str) -> Fake {
+        Fake { msg, stop: false }
+    }
+
+    fn stop(msg: &'static str) -> Fake {
+        Fake { msg, stop: true }
+    }
+
+    fn is_stop(e: &Fake) -> bool {
+        e.stop
+    }
+
     #[test]
     fn ladder_first_converged_wins() {
         let ladder = EscalationLadder::new()
             .rung("a", 1)
             .rung("b", 2)
             .rung("c", 3);
-        let outcome = ladder.run(|_, &p| {
+        let outcome = ladder.run(is_stop, |_, &p| {
             if p >= 2 {
                 AttemptReport::converged(p * 10, p, 1e-12)
             } else {
-                AttemptReport::failed("diverged")
+                AttemptReport::failed(fail("diverged"))
             }
         });
-        assert_eq!(outcome.value, Some(20));
+        assert_eq!(outcome.result.ok(), Some(20));
         assert!(outcome.report.converged());
         assert!(!outcome.report.nominal());
         assert_eq!(outcome.report.policy_used.as_deref(), Some("b"));
@@ -565,14 +638,103 @@ mod tests {
     }
 
     #[test]
+    fn ladder_stop_skips_later_rungs() {
+        let ladder = EscalationLadder::new()
+            .rung("a", ())
+            .rung("b", ())
+            .rung("c", ());
+        let mut runs = 0;
+        let outcome: RunOutcome<(), Fake> = ladder.run(is_stop, |_, _| {
+            runs += 1;
+            AttemptReport::failed(stop("out of budget"))
+        });
+        assert_eq!(runs, 1, "no rung runs after a stop");
+        assert!(matches!(
+            outcome.result,
+            Err(LadderError::Stopped(Fake {
+                msg: "out of budget",
+                ..
+            }))
+        ));
+        let errors: Vec<_> = outcome
+            .report
+            .attempts
+            .iter()
+            .map(|a| a.error.as_deref())
+            .collect();
+        assert_eq!(
+            errors,
+            [
+                Some("out of budget"),
+                Some("skipped: budget stop"),
+                Some("skipped: budget stop")
+            ]
+        );
+        assert_eq!(outcome.report.quality, Quality::Failed);
+    }
+
+    #[test]
+    fn ladder_stop_outranks_earlier_error() {
+        let ladder = EscalationLadder::new()
+            .rung("a", fail("diverged"))
+            .rung("b", stop("cancelled"))
+            .rung("c", fail("never runs"));
+        let outcome: RunOutcome<(), Fake> = ladder.run(is_stop, |_, f| {
+            AttemptReport::failed(Fake {
+                msg: f.msg,
+                stop: f.stop,
+            })
+        });
+        let err = outcome.result.unwrap_err().into_error(|| fail("none"));
+        assert_eq!(err, stop("cancelled"));
+        assert_eq!(outcome.report.attempts.len(), 3);
+    }
+
+    #[test]
+    fn ladder_first_error_wins_and_last_is_kept() {
+        let ladder = EscalationLadder::new()
+            .rung("a", "first")
+            .rung("b", "middle")
+            .rung("c", "last");
+        let outcome: RunOutcome<(), Fake> =
+            ladder.run(is_stop, |_, &msg| AttemptReport::failed(fail(msg)));
+        match outcome.result {
+            Err(LadderError::Failed { first, last }) => {
+                assert_eq!(first, fail("first"));
+                assert_eq!(last, Some(fail("last")));
+            }
+            other => panic!("expected Failed, got {other:?}"),
+        }
+        // A single failed rung has no later error; skipped rungs have none
+        // at all.
+        let single: RunOutcome<(), Fake> = EscalationLadder::new()
+            .rung("only", ())
+            .run(is_stop, |_, _| AttemptReport::failed(fail("only")));
+        assert!(matches!(
+            single.result,
+            Err(LadderError::Failed { last: None, .. })
+        ));
+        let skipped: RunOutcome<(), Fake> = EscalationLadder::new()
+            .rung("only", ())
+            .run(is_stop, |_, _| AttemptReport::skipped("injected"));
+        let err = skipped.result.unwrap_err().into_error(|| fail("fallback"));
+        assert_eq!(err, fail("fallback"));
+        assert_eq!(
+            skipped.report.attempts[0].error.as_deref(),
+            Some("injected")
+        );
+    }
+
+    #[test]
     fn ladder_keeps_best_degraded() {
         let ladder = EscalationLadder::new()
             .rung("a", 1e-3)
             .rung("b", 1e-6)
             .rung("c", 1e-4);
-        let outcome =
-            ladder.run(|label, &residual| AttemptReport::degraded(label.to_string(), 10, residual));
-        assert_eq!(outcome.value.as_deref(), Some("b"));
+        let outcome = ladder.run(is_stop, |label, &residual| {
+            AttemptReport::degraded(label.to_string(), 10, residual)
+        });
+        assert_eq!(outcome.result.ok().as_deref(), Some("b"));
         assert!(outcome.report.degraded());
         assert_eq!(outcome.report.policy_used.as_deref(), Some("b"));
         assert_eq!(outcome.report.attempts.len(), 3);
@@ -581,8 +743,9 @@ mod tests {
     #[test]
     fn ladder_all_failed() {
         let ladder = EscalationLadder::new().rung("a", ()).rung("b", ());
-        let outcome: RunOutcome<()> = ladder.run(|_, _| AttemptReport::failed("boom"));
-        assert!(outcome.value.is_none());
+        let outcome: RunOutcome<(), Fake> =
+            ladder.run(is_stop, |_, _| AttemptReport::failed(fail("boom")));
+        assert!(outcome.result.is_err());
         assert_eq!(outcome.report.quality, Quality::Failed);
         assert!(outcome.report.policy_used.is_none());
         assert_eq!(outcome.report.attempts.len(), 2);
@@ -593,7 +756,7 @@ mod tests {
         let ladder = EscalationLadder::new()
             .rung("nominal", ())
             .rung("retry", ());
-        let outcome = ladder.run(|_, _| AttemptReport::converged((), 3, 1e-13));
+        let outcome = ladder.run(is_stop, |_, _| AttemptReport::converged((), 3, 1e-13));
         assert!(outcome.report.nominal());
     }
 

@@ -2,7 +2,7 @@
 //!
 //! Nodes are interned by name; node `"0"`/`"gnd"` is ground. Unknowns are
 //! the non-ground node voltages plus one branch current per voltage source
-//! (modified nodal analysis). [`Circuit::stamp`] assembles the Jacobian and
+//! (modified nodal analysis). `Circuit::stamp` assembles the Jacobian and
 //! KCL residual at a trial solution, which both the DC and transient
 //! engines drive with Newton's method.
 

@@ -1,18 +1,16 @@
 //! DC analyses: Newton operating point, sweeps, and voltage transfer
 //! curves.
 
-use crate::circuit::{Circuit, NodeId};
+use crate::circuit::{Circuit, Element, NodeId, Waveform};
 use crate::error::SpiceError;
 use crate::mna::{MnaSolverKind, MnaSystem, ResidualOnly};
 use gnr_num::budget::ExecLimits;
-use gnr_num::telemetry;
+use gnr_num::recover::{AttemptReport, EscalationLadder, LadderError};
+use gnr_num::{telemetry, NumError};
 
-/// True when `e` wraps a budget-stop numeric error ([`gnr_num::NumError`]
-/// `BudgetExhausted` / `Cancelled`): these must propagate unchanged instead
-/// of triggering further rescue stages.
-pub(crate) fn is_budget_stop(e: &SpiceError) -> bool {
-    matches!(e, SpiceError::Linear(inner) if inner.is_budget_stop())
-}
+/// The rungs of the DC rescue chain, in order (also the labels
+/// [`SpiceError::RescueChainFailed`] lists as attempted).
+const RESCUE_CHAIN: &[&str] = &["gmin-ladder", "mid-rail-seeds", "source-stepping"];
 
 /// Newton iteration controls for DC solves.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -43,52 +41,23 @@ impl Default for DcOptions {
     }
 }
 
-impl DcOptions {
-    /// Sets the maximum Newton iterations per gmin step.
-    pub fn with_max_iterations(mut self, n: usize) -> Self {
-        self.max_iterations = n;
-        self
-    }
-
-    /// Sets the KCL residual convergence target \[A\].
-    pub fn with_tolerance_a(mut self, tol: f64) -> Self {
-        self.tolerance_a = tol;
-        self
-    }
-
-    /// Sets the per-iteration voltage update clamp \[V\].
-    pub fn with_step_clamp_v(mut self, clamp: f64) -> Self {
-        self.step_clamp_v = clamp;
-        self
-    }
-
-    /// Sets the gmin homotopy ladder (descending conductances).
-    pub fn with_gmin_ladder(mut self, ladder: &'static [f64]) -> Self {
-        self.gmin_ladder = ladder;
-        self
-    }
-
-    /// Selects the linear-system backend.
-    pub fn with_solver(mut self, solver: MnaSolverKind) -> Self {
-        self.solver = solver;
-        self
-    }
-}
-
 /// Solves the DC operating point at time `t = 0`, starting from `x0`
-/// (zeros if `None`), with gmin stepping for robustness. When the gmin
-/// ladder fails from every seed, source stepping (ramping all sources up
-/// from a fraction of their value with warm starts) is tried as a last
+/// (zeros if `None`), with gmin stepping for robustness. The rescue chain
+/// runs on an [`EscalationLadder`]: the gmin ladder from `x0`, then the
+/// same ladder from mid-rail seeds, then source stepping (ramping all
+/// sources up from a fraction of their value with warm starts) as a last
 /// resort.
 ///
 /// The budget is probed at every gmin stage and ramp step, and a budget
-/// stop aborts the rescue chain (mid-rail seeds, source stepping) instead
-/// of burning it. Pass [`ExecLimits::none`] (or `ctx.limits()` from an
-/// unlimited context) for the plain unbudgeted call.
+/// stop skips the rest of the rescue chain instead of burning it. Pass
+/// [`ExecLimits::none`] (or `ctx.limits()` from an unlimited context) for
+/// the plain unbudgeted call.
 ///
 /// # Errors
 ///
-/// Returns [`SpiceError::NewtonDiverged`] if the final gmin stage fails,
+/// Returns [`SpiceError::NewtonDiverged`] if the final gmin stage fails
+/// and no rescue rung applies (a circuit without source drive),
+/// [`SpiceError::RescueChainFailed`] when the rescue rungs fail too,
 /// propagates netlist/linear errors, and surfaces
 /// [`gnr_num::NumError::BudgetExhausted`] / `Cancelled` (via
 /// [`SpiceError::Linear`]) when `limits` trips.
@@ -103,86 +72,110 @@ pub fn dc_operating_point(
     // One linear system per circuit: the sparse backend's symbolic
     // analysis is paid here once and reused by every gmin stage and seed.
     let mut sys = MnaSystem::for_circuit(circuit, opts.solver);
-    let mut run_ladder = |start: Vec<f64>| -> Result<Vec<f64>, SpiceError> {
-        let mut x = start;
+    // One gmin homotopy from `x`. The outer error is a budget stop (the
+    // per-stage probe), the inner one the final stage's Newton failure;
+    // earlier stages keep their best-effort `x` and tighten gmin anyway.
+    let mut gmin_ladder = |mut x: Vec<f64>| -> Result<Result<Vec<f64>, SpiceError>, NumError> {
         for (stage, &gmin) in opts.gmin_ladder.iter().enumerate() {
             limits.check("dc.gmin_stage")?;
-            let is_last = stage == opts.gmin_ladder.len() - 1;
             match newton(circuit, &mut x, 0.0, gmin, opts, &mut sys) {
-                Ok(()) => {}
-                Err(e) if is_last || is_budget_stop(&e) => return Err(e),
-                Err(_) => { /* keep the best-effort x and tighten gmin anyway */ }
+                Err(e) if stage == opts.gmin_ladder.len() - 1 => return Ok(Err(e)),
+                _ => {}
             }
         }
-        Ok(x)
+        Ok(Ok(x))
     };
-    let primary = match x0 {
-        Some(v) if v.len() == n => v.to_vec(),
-        _ => vec![0.0; n],
-    };
-    // Fault injection (disarmed in production): pretend the gmin ladder and
-    // mid-rail seeds diverged, forcing the source-stepping fallback.
+    // Fault injection (disarmed in production): pretend the gmin ladder
+    // diverged and leave out the mid-rail seeds, forcing the
+    // source-stepping fallback.
     let forced_fail = gnr_num::fault::should_fail("newton-dc");
-    let primary_result = if forced_fail {
-        Err(SpiceError::NewtonDiverged {
-            analysis: "dc",
-            iterations: 0,
-            residual: f64::INFINITY,
+    // Both rescue rungs scale from the largest source magnitude; with no
+    // drive there is nothing for them to do.
+    let vmax = circuit
+        .elements()
+        .iter()
+        .filter_map(|e| match e {
+            Element::VSource { wave, .. } => Some(wave.value(0.0).abs()),
+            _ => None,
         })
-    } else {
-        run_ladder(primary)
-    };
-    match primary_result {
-        Ok(x) => Ok(x),
-        Err(first_err) if is_budget_stop(&first_err) => Err(first_err),
-        Err(first_err) => {
-            // Cold-start fallback: seed every node at half the largest
-            // source magnitude (mid-rail), which sits inside the high-gain
-            // transition region where the zero seed can strand Newton.
-            let vmax = circuit
-                .elements()
-                .iter()
-                .filter_map(|e| match e {
-                    crate::circuit::Element::VSource { wave, .. } => Some(wave.value(0.0).abs()),
-                    _ => None,
-                })
-                .fold(0.0f64, f64::max);
-            if vmax == 0.0 {
-                return Err(first_err);
-            }
-            if !forced_fail {
+        .fold(0.0f64, f64::max);
+    #[derive(Clone, Copy)]
+    enum Rung {
+        GminLadder,
+        MidRailSeeds,
+        SourceStepping,
+    }
+    let mut ladder = EscalationLadder::new().rung(RESCUE_CHAIN[0], Rung::GminLadder);
+    if vmax != 0.0 {
+        if !forced_fail {
+            ladder = ladder.rung(RESCUE_CHAIN[1], Rung::MidRailSeeds);
+        }
+        ladder = ladder.rung(RESCUE_CHAIN[2], Rung::SourceStepping);
+    }
+    let outcome = ladder.run(SpiceError::is_budget_stop, |_, rung| {
+        let result = match rung {
+            Rung::GminLadder if forced_fail => Ok(Err(SpiceError::NewtonDiverged {
+                analysis: "dc",
+                iterations: 0,
+                residual: f64::INFINITY,
+            })),
+            Rung::GminLadder => gmin_ladder(match x0 {
+                Some(v) if v.len() == n => v.to_vec(),
+                _ => vec![0.0; n],
+            }),
+            Rung::MidRailSeeds => {
+                // Cold-start fallback: seed every node at a fraction of the
+                // largest source magnitude, mid-rail first, which sits
+                // inside the high-gain transition region where the zero
+                // seed can strand Newton. The next seed runs only while
+                // the last one diverged.
                 let n_nodes = circuit.node_count() - 1;
-                for frac in [0.5, 1.0, 0.25] {
+                let mut seeded = |frac: f64| {
                     let mut seed = vec![0.0; n];
-                    for v in seed.iter_mut().take(n_nodes) {
-                        *v = vmax * frac;
+                    seed[..n_nodes].fill(vmax * frac);
+                    gmin_ladder(seed)
+                };
+                let mut result = seeded(0.5);
+                for frac in [1.0, 0.25] {
+                    if !matches!(result, Ok(Err(_))) {
+                        break;
                     }
-                    match run_ladder(seed) {
-                        Ok(x) => return Ok(x),
-                        Err(e) if is_budget_stop(&e) => return Err(e),
-                        Err(_) => {}
-                    }
+                    result = seeded(frac);
                 }
+                result
             }
             // Source stepping: ramp every source from a quarter of its
             // value to full drive, warm-starting each step from the last.
-            match source_stepping(circuit, opts, limits) {
-                Err(e) if is_budget_stop(&e) => Err(e),
-                Ok(x) => {
-                    telemetry::counter_inc("spice.dc.source_stepping_rescues");
-                    Ok(x)
-                }
-                Err(stepping_err) => {
-                    telemetry::counter_inc("spice.dc.source_stepping_failures");
-                    Err(SpiceError::RescueChainFailed {
-                        analysis: "dc",
-                        attempted: &["gmin-ladder", "mid-rail-seeds", "source-stepping"],
-                        primary: Box::new(first_err),
-                        last: Box::new(stepping_err),
-                    })
-                }
-            }
+            Rung::SourceStepping => Ok(source_stepping(circuit, opts, limits)),
+        };
+        match result.unwrap_or_else(|stop| Err(stop.into())) {
+            Ok(x) => AttemptReport::converged(x, 0, f64::NAN),
+            Err(e) => AttemptReport::failed(e),
         }
+    });
+    let source_stepped = outcome.report.policy_used.as_deref() == Some(RESCUE_CHAIN[2]);
+    match outcome.result {
+        Ok(x) => {
+            if source_stepped {
+                telemetry::counter_inc("spice.dc.source_stepping_rescues");
+            }
+            Ok(x)
+        }
+        // A rescue rung ran after the primary failure and the chain still
+        // ran dry: report the primary and the last failure together.
+        Err(LadderError::Failed {
+            first,
+            last: Some(last),
+        }) => {
+            telemetry::counter_inc("spice.dc.source_stepping_failures");
+            Err(SpiceError::RescueChainFailed {
+                analysis: "dc",
+                attempted: RESCUE_CHAIN,
+                primary: Box::new(first),
+                last: Box::new(last),
+            })
+        }
+        Err(e) => Err(e.into_error(|| SpiceError::config("dc rescue chain was empty"))),
     }
 }
 
@@ -195,7 +188,6 @@ pub(crate) fn source_stepping(
     opts: DcOptions,
     limits: &ExecLimits,
 ) -> Result<Vec<f64>, SpiceError> {
-    use crate::circuit::{Element, Waveform};
     // Fault injection (disarmed in production): pretend the ramp diverged,
     // driving the caller into the RescueChainFailed double-failure path.
     if gnr_num::fault::should_fail("dc.source_stepping") {
@@ -221,7 +213,7 @@ pub(crate) fn source_stepping(
     for frac in [0.25, 0.5, 0.75, 1.0] {
         limits.check("dc.source_step")?;
         let mut k = 0;
-        for e in circuit_elements_mut(&mut scaled) {
+        for e in scaled.elements_mut() {
             if let Element::VSource { wave, .. } = e {
                 // At t = 0 the scaled DC wave stamps identically to the
                 // original waveform scaled by `frac`.
@@ -234,7 +226,7 @@ pub(crate) fn source_stepping(
             let is_last = stage == opts.gmin_ladder.len() - 1;
             match newton(&scaled, &mut x, 0.0, gmin, opts, &mut sys) {
                 Ok(()) => {}
-                Err(e) if (is_last && full_drive) || is_budget_stop(&e) => return Err(e),
+                Err(e) if is_last && full_drive => return Err(e),
                 Err(_) => { /* intermediate ramp steps may stay loose */ }
             }
         }
@@ -414,19 +406,7 @@ fn solve_with_continuation(
 ///
 /// Returns [`SpiceError::Config`] if the index is out of range.
 pub fn set_source_value(circuit: &mut Circuit, k: usize, volts: f64) -> Result<(), SpiceError> {
-    use crate::circuit::{Element, Waveform};
-    let mut idx = 0;
-    // Elements are private to the crate through this helper only.
-    for e in circuit_elements_mut(circuit) {
-        if let Element::VSource { wave, .. } = e {
-            if idx == k {
-                *wave = Waveform::Dc(volts);
-                return Ok(());
-            }
-            idx += 1;
-        }
-    }
-    Err(SpiceError::config(format!("no voltage source #{k}")))
+    set_source_wave(circuit, k, Waveform::Dc(volts))
 }
 
 /// Replaces the full waveform of the `k`-th voltage source (e.g. swapping
@@ -435,14 +415,9 @@ pub fn set_source_value(circuit: &mut Circuit, k: usize, volts: f64) -> Result<(
 /// # Errors
 ///
 /// Returns [`SpiceError::Config`] if the index is out of range.
-pub fn set_source_wave(
-    circuit: &mut Circuit,
-    k: usize,
-    wave: crate::circuit::Waveform,
-) -> Result<(), SpiceError> {
-    use crate::circuit::Element;
+pub fn set_source_wave(circuit: &mut Circuit, k: usize, wave: Waveform) -> Result<(), SpiceError> {
     let mut idx = 0;
-    for e in circuit_elements_mut(circuit) {
+    for e in circuit.elements_mut() {
         if let Element::VSource { wave: w, .. } = e {
             if idx == k {
                 *w = wave;
@@ -454,16 +429,9 @@ pub fn set_source_wave(
     Err(SpiceError::config(format!("no voltage source #{k}")))
 }
 
-/// Crate-internal mutable access to the element list.
-pub(crate) fn circuit_elements_mut(c: &mut Circuit) -> &mut [crate::circuit::Element] {
-    // Circuit stores elements privately; expose them within the crate.
-    c.elements_mut()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuit::{Element, Waveform};
 
     #[test]
     fn voltage_divider() {

@@ -112,6 +112,13 @@ impl SpiceError {
             detail: detail.into(),
         }
     }
+
+    /// True when this error wraps a budget stop
+    /// ([`NumError::BudgetExhausted`] / [`NumError::Cancelled`]): budget
+    /// stops must propagate unchanged instead of triggering rescue ladders.
+    pub fn is_budget_stop(&self) -> bool {
+        matches!(self, SpiceError::Linear(e) if e.is_budget_stop())
+    }
 }
 
 #[cfg(test)]

@@ -25,8 +25,8 @@
 //! ```no_run
 //! use gnr_device::{DeviceConfig, DeviceTable, Polarity, SbfetModel};
 //! use gnr_device::table::TableGrid;
-//! use gnr_spice::builders::{ExtrinsicParasitics, InverterChain};
-//! use gnr_spice::measure::fo4_inverter_metrics;
+//! use gnr_spice::builders::{ExtrinsicParasitics, InverterCell};
+//! use gnr_spice::measure::fo4_metrics_for_cell;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let ctx = gnr_num::par::ExecCtx::from_env();
@@ -34,7 +34,8 @@
 //! let model = SbfetModel::new(&cfg)?;
 //! let n = DeviceTable::from_model(&ctx, &model, Polarity::NType, TableGrid::paper(), 4)?;
 //! let p = n.mirrored();
-//! let metrics = fo4_inverter_metrics(&n, &p, 0.4, &ExtrinsicParasitics::nominal())?;
+//! let cell = InverterCell::new(&n, &p, &ExtrinsicParasitics::nominal())?;
+//! let metrics = fo4_metrics_for_cell(&cell, 0.4)?;
 //! println!("delay {} ps", metrics.delay_s * 1e12);
 //! # Ok(())
 //! # }

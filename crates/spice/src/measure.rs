@@ -6,12 +6,11 @@
 //! the energy-delay product used for technology exploration, and the
 //! butterfly-curve static noise margin used as the reliability metric.
 
-use crate::builders::{ExtrinsicParasitics, InverterCell, InverterChain, Latch, RingOscillator};
+use crate::builders::{InverterCell, InverterChain, Latch, RingOscillator};
 use crate::circuit::{Element, NodeId, Waveform};
-use crate::dc::{dc_operating_point, set_source_value, transfer_curve, DcOptions};
+use crate::dc::{dc_operating_point, set_source_value, set_source_wave, transfer_curve, DcOptions};
 use crate::error::SpiceError;
 use crate::transient::{transient_nominal, TransientOptions};
-use gnr_device::DeviceTable;
 use gnr_num::budget::ExecLimits;
 
 /// Measured figures of merit of a FO4 inverter.
@@ -146,35 +145,23 @@ fn single_inverter(cell: &InverterCell, vdd: f64) -> Result<InverterChain, Spice
     })
 }
 
-/// Measures delay, power, and energy of a FO4 inverter built from raw
-/// device tables at supply `vdd`.
+/// Measures delay, power, and energy of a FO4 inverter built from `cell`
+/// at supply `vdd`.
 ///
 /// # Errors
 ///
 /// Propagates construction/analysis failures; returns
 /// [`SpiceError::Measurement`] if the output never switches.
-pub fn fo4_inverter_metrics(
-    nfet: &DeviceTable,
-    pfet: &DeviceTable,
-    vdd: f64,
-    parasitics: &ExtrinsicParasitics,
-) -> Result<InverterMetrics, SpiceError> {
-    let cell = InverterCell::new(nfet, pfet, parasitics)?;
-    fo4_metrics_for_cell(&cell, vdd)
-}
-
-/// [`fo4_inverter_metrics`] for a pre-built cell.
-///
-/// # Errors
-///
-/// Propagates construction/analysis failures.
 pub fn fo4_metrics_for_cell(cell: &InverterCell, vdd: f64) -> Result<InverterMetrics, SpiceError> {
+    let chain = InverterChain::fo4(cell, vdd)?;
+    // Static power (per driver inverter) does not depend on the window.
+    let static_power_w = inverter_static_power(cell, vdd)?;
     // The transient window is sized from an RC estimate; retry with longer
     // windows for slow corners (e.g. heavily mismatched variation studies)
     // whose weaker edge falls outside the first guess.
     let mut scale = 1.0;
     for attempt in 0..3 {
-        match fo4_metrics_attempt(cell, vdd, scale) {
+        match fo4_metrics_attempt(cell, &chain, vdd, static_power_w, scale) {
             Err(SpiceError::Measurement { .. }) if attempt < 2 => scale *= 6.0,
             other => return other,
         }
@@ -184,13 +171,12 @@ pub fn fo4_metrics_for_cell(cell: &InverterCell, vdd: f64) -> Result<InverterMet
 
 fn fo4_metrics_attempt(
     cell: &InverterCell,
+    chain: &InverterChain,
     vdd: f64,
+    static_power_w: f64,
     window_scale: f64,
 ) -> Result<InverterMetrics, SpiceError> {
-    let chain = InverterChain::fo4(cell, vdd)?;
     let mut circuit = chain.circuit.clone();
-    // --- static power (per driver inverter) ---
-    let static_power_w = inverter_static_power(cell, vdd)?;
 
     // --- delay estimate to size the transient window: the weaker of the
     // pull-down and pull-up edges dominates ---
@@ -216,7 +202,7 @@ fn fo4_metrics_attempt(
         width: period / 2.0 - edge,
         period,
     };
-    set_pulse(&mut circuit, chain.input_source, wave)?;
+    set_source_wave(&mut circuit, chain.input_source, wave)?;
     let opts = TransientOptions::new(2.0 * period, period / 3000.0);
     let result = transient_nominal(&circuit, &opts, &ExecLimits::none())?;
     let times = result.times();
@@ -274,24 +260,6 @@ fn pair_delay(input_edges: &[f64], output_edges: &[f64]) -> Option<f64> {
         }
     }
     None
-}
-
-fn set_pulse(
-    circuit: &mut crate::circuit::Circuit,
-    source_index: usize,
-    wave: Waveform,
-) -> Result<(), SpiceError> {
-    let mut idx = 0;
-    for e in crate::dc::circuit_elements_mut(circuit) {
-        if let Element::VSource { wave: w, .. } = e {
-            if idx == source_index {
-                *w = wave;
-                return Ok(());
-            }
-            idx += 1;
-        }
-    }
-    Err(SpiceError::config(format!("no source #{source_index}")))
 }
 
 /// Simulates a ring oscillator to steady oscillation and extracts its

@@ -1,14 +1,14 @@
 //! MNA linear-system backends: dense legacy path and the KLU-style
 //! sparse path with per-circuit symbolic reuse.
 //!
-//! The Newton engines stamp the Jacobian through the [`MnaSink`]
+//! The Newton engines stamp the Jacobian through the `MnaSink`
 //! abstraction so one stamping routine serves three backends: the legacy
 //! dense [`Matrix`] (bit-for-bit the historical behavior), a fixed-pattern
 //! [`CsrMatrix`] feeding [`SparseLu`], and a residual-only sink that
 //! skips the matrix entirely (used by the Newton line search, which only
 //! needs the trial residual).
 //!
-//! The sparse pattern is built once per circuit by [`mna_pattern`] — it
+//! The sparse pattern is built once per circuit by `mna_pattern` — it
 //! enumerates every slot any stamp can touch (including the capacitor
 //! companion-model slots, so the same pattern serves DC and transient) —
 //! and the symbolic analysis is reused across every Newton iteration,

@@ -400,6 +400,11 @@ impl Deck {
     }
 }
 
+/// Largest per-axis node count a surrogate `.model` card may request: the
+/// table holds `points²` bias nodes, so this bounds one card at ~40k nodes
+/// (a deck submitted to the service cannot reserve an unbounded table).
+const MAX_SURROGATE_POINTS: usize = 201;
+
 /// Builds a square-law surrogate [`DeviceTable`] from a
 /// `.model <name> surrogate …` card — the cheap, fully deterministic
 /// device used by the deck zoo and the CLI's quick mode.
@@ -410,8 +415,15 @@ impl Deck {
 /// logic decks converge under damped Newton), `alpha` \[V\] (softplus
 /// overdrive width — smooths the square-law turn-on kink), `gleak` \[S\],
 /// `cg` \[F/V\], `rs`/`rd` \[Ω\] (folded series resistance), grid bounds
-/// `vgs0 vgs1 vds0 vds1` and `points`.
+/// `vgs0 vgs1 vds0 vds1` and `points`, the per-axis node count: an integer
+/// in `[3, MAX_SURROGATE_POINTS]` (3 to 201).
 fn build_surrogate_table(card: &ModelCard) -> Result<Arc<DeviceTable>, ParseError> {
+    let bad_model = |detail: String| ParseError {
+        line: card.line,
+        col: 1,
+        kind: ParseErrorKind::BadModel,
+        detail,
+    };
     let vth = card.param_f64("vth", 0.2)?;
     let beta = card.param_f64("beta", 4e-5)?;
     let vdsat = card.param_f64("vdsat", 0.08)?;
@@ -424,13 +436,15 @@ fn build_surrogate_table(card: &ModelCard) -> Result<Arc<DeviceTable>, ParseErro
     let grid = TableGrid {
         vgs: (card.param_f64("vgs0", -0.3)?, card.param_f64("vgs1", 0.9)?),
         vds: (card.param_f64("vds0", 0.0)?, card.param_f64("vds1", 0.9)?),
-        points: card.param_f64("points", 9.0)? as usize,
-    };
-    let bad_model = |detail: String| ParseError {
-        line: card.line,
-        col: 1,
-        kind: ParseErrorKind::BadModel,
-        detail,
+        points: match card.param_f64("points", 9.0)? {
+            p if p.fract() == 0.0 && (3.0..=MAX_SURROGATE_POINTS as f64).contains(&p) => p as usize,
+            p => {
+                return Err(bad_model(format!(
+                    "model '{}': points must be an integer in [3, {MAX_SURROGATE_POINTS}], got {p}",
+                    card.name
+                )))
+            }
+        },
     };
     let polarity = match card.param("polarity").unwrap_or("n") {
         "n" => Polarity::NType,

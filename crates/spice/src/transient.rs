@@ -11,11 +11,11 @@
 //! for smooth waveforms.
 
 use crate::circuit::{Circuit, Element, NodeId};
-use crate::dc::{dc_operating_point, is_budget_stop, DcOptions};
+use crate::dc::{dc_operating_point, DcOptions};
 use crate::error::SpiceError;
 use crate::mna::{MnaSink, MnaSystem, ResidualOnly};
 use gnr_num::budget::ExecLimits;
-use gnr_num::par::{ExecCtx, RecoveryPolicy};
+use gnr_num::par::ExecCtx;
 use gnr_num::recover::{AttemptReport, EscalationLadder, SolveReport};
 use gnr_num::telemetry;
 
@@ -48,9 +48,7 @@ pub struct TransientOptions {
     pub skip_dc: bool,
     /// Time-integration method.
     pub integrator: Integrator,
-    /// Retry ladder used when the execution context's policy is
-    /// [`RecoveryPolicy::Ladder`]; ignored under
-    /// [`RecoveryPolicy::Strict`].
+    /// Retry ladder run after a failed nominal integration.
     pub recovery: TransientRecovery,
 }
 
@@ -78,53 +76,16 @@ impl TransientOptions {
         self
     }
 
-    /// Sets the simulation stop time \[s\].
-    pub fn with_t_stop(mut self, t_stop: f64) -> Self {
-        self.t_stop = t_stop;
-        self
-    }
-
-    /// Sets the fixed time step \[s\].
-    pub fn with_dt(mut self, dt: f64) -> Self {
-        self.dt = dt;
-        self
-    }
-
-    /// Replaces the per-step Newton controls.
-    pub fn with_newton(mut self, newton: DcOptions) -> Self {
-        self.newton = newton;
-        self
-    }
-
     /// Sets the initial node-voltage overrides.
     pub fn with_initial_voltages(mut self, overrides: Vec<(NodeId, f64)>) -> Self {
         self.initial_voltages = overrides;
         self
     }
-
-    /// Skips (or restores) the initial DC solve.
-    pub fn with_skip_dc(mut self, skip: bool) -> Self {
-        self.skip_dc = skip;
-        self
-    }
-
-    /// Selects the time-integration method.
-    pub fn with_integrator(mut self, integrator: Integrator) -> Self {
-        self.integrator = integrator;
-        self
-    }
-
-    /// Replaces the retry ladder used under [`RecoveryPolicy::Ladder`].
-    pub fn with_recovery(mut self, recovery: TransientRecovery) -> Self {
-        self.recovery = recovery;
-        self
-    }
 }
 
 impl Default for TransientOptions {
-    /// A 1 ns window at a 1 ps step — override with
-    /// [`with_t_stop`](TransientOptions::with_t_stop) /
-    /// [`with_dt`](TransientOptions::with_dt).
+    /// A 1 ns window at a 1 ps step — set the `t_stop` and `dt` fields
+    /// (or call [`TransientOptions::new`]) for another window.
     fn default() -> Self {
         TransientOptions::new(1e-9, 1e-12)
     }
@@ -235,34 +196,105 @@ impl TransientResult {
     }
 }
 
-/// Runs a transient analysis under the execution context's recovery
-/// policy.
-///
-/// With [`RecoveryPolicy::Strict`] exactly one integration runs and any
-/// failure propagates — byte-for-byte the historic plain `transient`. With
-/// [`RecoveryPolicy::Ladder`] the nominal run (identical when it succeeds)
-/// is followed on Newton divergence by the `opts.recovery` ladder: timestep
-/// halvings down to `dt_floor`, then — when `source_ramp` is set — one
-/// attempt seeded from a source-stepped DC solution. The report records
-/// each attempt and the winning policy.
+/// Runs a transient analysis on an [`EscalationLadder`]: the nominal
+/// integration first (the plain single attempt when it succeeds), then on
+/// failure the `opts.recovery` rungs — timestep halvings down to
+/// `dt_floor`, then, when `source_ramp` is set, one attempt seeded from a
+/// source-stepped DC solution. The report records each attempt and the
+/// winning policy.
 ///
 /// # Errors
 ///
-/// Propagates netlist validation, DC, and per-step Newton failures; under
-/// `Ladder`, returns the first attempt's error when every rung fails.
+/// Propagates netlist validation, DC, and per-step Newton failures: the
+/// budget stop when `ctx`'s limits trip, otherwise the first attempt's
+/// error when every rung fails.
 pub fn transient(
     ctx: &ExecCtx,
     circuit: &Circuit,
     opts: &TransientOptions,
 ) -> Result<(TransientResult, SolveReport), SpiceError> {
     telemetry::counter_inc("transient.solves");
-    match ctx.recovery() {
-        RecoveryPolicy::Strict => {
-            let result = transient_nominal(circuit, opts, ctx.limits())?;
-            let steps = result.len();
-            Ok((result, SolveReport::single("nominal", steps, f64::NAN)))
+    let limits = ctx.limits();
+    let rec = &opts.recovery;
+    #[derive(Clone)]
+    enum Policy {
+        Nominal,
+        HalveDt(u32),
+        SourceRamp,
+    }
+    let mut ladder = EscalationLadder::new().rung("nominal", Policy::Nominal);
+    for k in 1..=rec.max_dt_halvings as u32 {
+        ladder = ladder.rung(format!("dt/{}", 1u64 << k), Policy::HalveDt(k));
+    }
+    if rec.source_ramp {
+        ladder = ladder.rung("source-ramp", Policy::SourceRamp);
+    }
+
+    let outcome = ladder.run(SpiceError::is_budget_stop, |_, policy| {
+        let attempt_opts = match policy {
+            Policy::Nominal => opts.clone(),
+            Policy::HalveDt(k) => {
+                let dt = opts.dt / f64::from(1u32 << *k);
+                if dt < rec.dt_floor {
+                    return AttemptReport::skipped(format!(
+                        "dt {dt:.3e} s below floor {:.3e} s",
+                        rec.dt_floor
+                    ));
+                }
+                TransientOptions { dt, ..opts.clone() }
+            }
+            Policy::SourceRamp => {
+                // Solve the operating point by ramping the sources, then
+                // impose it as the starting state instead of the (failing)
+                // direct DC solve.
+                let x = match crate::dc::source_stepping(circuit, opts.newton, limits) {
+                    Ok(x) => x,
+                    Err(e) => return AttemptReport::failed(e),
+                };
+                let initial_voltages: Vec<(NodeId, f64)> = (1..circuit.node_count())
+                    .map(|i| (NodeId(i), circuit.voltage(&x, NodeId(i))))
+                    .collect();
+                TransientOptions {
+                    skip_dc: true,
+                    initial_voltages,
+                    ..opts.clone()
+                }
+            }
+        };
+        // Fault injection (disarmed in production): only rungs that would
+        // actually run probe the injector, so floor-rejected rungs don't
+        // consume a draw.
+        if gnr_num::fault::should_fail("newton") {
+            return AttemptReport::skipped("injected fault: transient attempt suppressed")
+                .with_error(SpiceError::NewtonDiverged {
+                    analysis: "transient step",
+                    iterations: 0,
+                    residual: f64::INFINITY,
+                });
         }
-        RecoveryPolicy::Ladder => transient_laddered(circuit, opts, ctx.limits()),
+        match transient_nominal(circuit, &attempt_opts, limits) {
+            Ok(result) => {
+                let steps = result.len();
+                AttemptReport::converged(result, steps, f64::NAN)
+            }
+            Err(err) => AttemptReport::failed(err),
+        }
+    });
+    let halvings = outcome
+        .report
+        .attempts
+        .iter()
+        .filter(|a| a.policy.starts_with("dt/"))
+        .count();
+    if halvings > 0 {
+        telemetry::counter_add("transient.dt_halvings", halvings as u64);
+    }
+    if outcome.report.converged() && outcome.report.policy_used.as_deref() == Some("source-ramp") {
+        telemetry::counter_inc("transient.source_ramp_rescues");
+    }
+    match outcome.result {
+        Ok(result) => Ok((result, outcome.report)),
+        Err(e) => Err(e.into_error(|| SpiceError::config("transient ladder was empty"))),
     }
 }
 
@@ -395,7 +427,7 @@ pub(crate) fn transient_nominal(
     Ok(result)
 }
 
-/// Retry policy for the [`RecoveryPolicy::Ladder`] path of [`transient`].
+/// Retry ladder of [`transient`] after a failed nominal integration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TransientRecovery {
     /// Maximum number of timestep halvings tried after the nominal run
@@ -416,124 +448,6 @@ impl Default for TransientRecovery {
             dt_floor: 0.0,
             source_ramp: true,
         }
-    }
-}
-
-/// The escalation-ladder integration behind [`RecoveryPolicy::Ladder`].
-fn transient_laddered(
-    circuit: &Circuit,
-    opts: &TransientOptions,
-    limits: &ExecLimits,
-) -> Result<(TransientResult, SolveReport), SpiceError> {
-    let rec = &opts.recovery;
-    #[derive(Clone)]
-    enum Policy {
-        Nominal,
-        HalveDt(u32),
-        SourceRamp,
-    }
-    let mut ladder = EscalationLadder::new().rung("nominal", Policy::Nominal);
-    for k in 1..=rec.max_dt_halvings as u32 {
-        ladder = ladder.rung(format!("dt/{}", 1u64 << k), Policy::HalveDt(k));
-    }
-    if rec.source_ramp {
-        ladder = ladder.rung("source-ramp", Policy::SourceRamp);
-    }
-
-    let mut first_err: Option<SpiceError> = None;
-    // A budget stop must short-circuit the remaining rungs rather than
-    // re-integrate with smaller timesteps against an exhausted budget.
-    let mut stop_err: Option<SpiceError> = None;
-    let record_err =
-        |err: SpiceError, first: &mut Option<SpiceError>| -> AttemptReport<TransientResult> {
-            let msg = err.to_string();
-            if first.is_none() {
-                *first = Some(err);
-            }
-            AttemptReport::failed(msg)
-        };
-    let outcome = ladder.run(|_, policy| {
-        if stop_err.is_some() {
-            return AttemptReport::failed("skipped: budget stop");
-        }
-        let attempt_opts = match policy {
-            Policy::Nominal => opts.clone(),
-            Policy::HalveDt(k) => {
-                let dt = opts.dt / f64::from(1u32 << *k);
-                if dt < rec.dt_floor {
-                    return AttemptReport::failed(format!(
-                        "dt {dt:.3e} s below floor {:.3e} s",
-                        rec.dt_floor
-                    ));
-                }
-                TransientOptions { dt, ..opts.clone() }
-            }
-            Policy::SourceRamp => {
-                // Solve the operating point by ramping the sources, then
-                // impose it as the starting state instead of the (failing)
-                // direct DC solve.
-                let x = match crate::dc::source_stepping(circuit, opts.newton, limits) {
-                    Ok(x) => x,
-                    Err(e) if is_budget_stop(&e) => {
-                        let msg = e.to_string();
-                        stop_err = Some(e);
-                        return AttemptReport::failed(msg);
-                    }
-                    Err(e) => return record_err(e, &mut first_err),
-                };
-                let initial_voltages: Vec<(NodeId, f64)> = (1..circuit.node_count())
-                    .map(|i| (NodeId(i), circuit.voltage(&x, NodeId(i))))
-                    .collect();
-                TransientOptions {
-                    skip_dc: true,
-                    initial_voltages,
-                    ..opts.clone()
-                }
-            }
-        };
-        // Fault injection (disarmed in production): only rungs that would
-        // actually run probe the injector, so floor-rejected rungs don't
-        // consume a draw.
-        if gnr_num::fault::should_fail("newton") {
-            if first_err.is_none() {
-                first_err = Some(SpiceError::NewtonDiverged {
-                    analysis: "transient step",
-                    iterations: 0,
-                    residual: f64::INFINITY,
-                });
-            }
-            return AttemptReport::failed("injected fault: transient attempt suppressed");
-        }
-        match transient_nominal(circuit, &attempt_opts, limits) {
-            Ok(result) => {
-                let steps = result.len();
-                AttemptReport::converged(result, steps, f64::NAN)
-            }
-            Err(err) if is_budget_stop(&err) => {
-                let msg = err.to_string();
-                stop_err = Some(err);
-                AttemptReport::failed(msg)
-            }
-            Err(err) => record_err(err, &mut first_err),
-        }
-    });
-    let halvings = outcome
-        .report
-        .attempts
-        .iter()
-        .filter(|a| a.policy.starts_with("dt/"))
-        .count();
-    if halvings > 0 {
-        telemetry::counter_add("transient.dt_halvings", halvings as u64);
-    }
-    if outcome.report.converged() && outcome.report.policy_used.as_deref() == Some("source-ramp") {
-        telemetry::counter_inc("transient.source_ramp_rescues");
-    }
-    match outcome.value {
-        Some(result) => Ok((result, outcome.report)),
-        None => Err(stop_err
-            .or(first_err)
-            .unwrap_or_else(|| SpiceError::config("transient ladder was empty"))),
     }
 }
 
@@ -662,10 +576,6 @@ mod tests {
     use super::*;
     use crate::circuit::Waveform;
 
-    fn strict() -> ExecCtx {
-        ExecCtx::strict()
-    }
-
     /// RC low-pass step response: v(t) = V (1 - e^{-t/RC}).
     #[test]
     fn rc_step_response() {
@@ -699,7 +609,7 @@ mod tests {
         });
         let tau = r * cap; // 1 ns
         let opts = TransientOptions::new(5.0 * tau, tau / 200.0);
-        let (result, _) = transient(&strict(), &c, &opts).unwrap();
+        let (result, _) = transient(&ExecCtx::serial(), &c, &opts).unwrap();
         let v = result.voltage(&c, out);
         let times = result.times();
         // Compare against the analytic charging curve at a few points.
@@ -734,7 +644,7 @@ mod tests {
         let mut opts = TransientOptions::new(1e-9, 1e-11);
         opts.skip_dc = true;
         opts.initial_voltages = vec![(out, 0.7)];
-        let (result, _) = transient(&strict(), &c, &opts).unwrap();
+        let (result, _) = transient(&ExecCtx::serial(), &c, &opts).unwrap();
         let v = result.voltage(&c, out);
         assert!((v[0] - 0.7).abs() < 1e-12);
         // Discharge through 1 TOhm over 1 ns is negligible.
@@ -784,7 +694,7 @@ mod tests {
             let mut opts = TransientOptions::new(t_ramp, dt);
             opts.integrator = integrator;
             opts.skip_dc = true;
-            let (r, _) = transient(&strict(), &c, &opts).expect("simulates");
+            let (r, _) = transient(&ExecCtx::serial(), &c, &opts).expect("simulates");
             let v = r.voltage(&c, out);
             let times = r.times();
             v.iter()
@@ -840,8 +750,8 @@ mod tests {
         });
         let opts_be = TransientOptions::new(2e-9, 2e-12);
         let opts_tr = TransientOptions::new(2e-9, 2e-12).trapezoidal();
-        let (r_be, _) = transient(&strict(), &c, &opts_be).expect("be");
-        let (r_tr, _) = transient(&strict(), &c, &opts_tr).expect("tr");
+        let (r_be, _) = transient(&ExecCtx::serial(), &c, &opts_be).expect("be");
+        let (r_tr, _) = transient(&ExecCtx::serial(), &c, &opts_tr).expect("tr");
         let v_be = r_be.voltage(&c, out);
         let v_tr = r_tr.voltage(&c, out);
         for (a, b) in v_be.iter().zip(&v_tr) {
@@ -870,8 +780,7 @@ mod tests {
             farads: 1e-12,
         });
         let opts = TransientOptions::new(2e-9, 2e-11);
-        let (plain, strict_report) = transient(&strict(), &c, &opts).unwrap();
-        assert!(strict_report.nominal());
+        let plain = transient_nominal(&c, &opts, &ExecLimits::none()).unwrap();
         let (laddered, report) = transient(&ExecCtx::serial(), &c, &opts).unwrap();
         assert!(report.nominal());
         assert_eq!(report.policy_used.as_deref(), Some("nominal"));
@@ -893,9 +802,8 @@ mod tests {
             n: NodeId::GROUND,
             wave: Waveform::Dc(1.0),
         });
-        assert!(transient(&strict(), &c, &TransientOptions::new(0.0, 1e-12)).is_err());
-        assert!(transient(&strict(), &c, &TransientOptions::new(1e-9, 0.0)).is_err());
-        // The ladder cannot rescue a configuration error either.
+        // The ladder cannot rescue a configuration error.
+        assert!(transient(&ExecCtx::serial(), &c, &TransientOptions::new(0.0, 1e-12)).is_err());
         assert!(transient(&ExecCtx::serial(), &c, &TransientOptions::new(1e-9, 0.0)).is_err());
     }
 
@@ -918,8 +826,10 @@ mod tests {
         let mut opts = TransientOptions::new(1e-9, 1e-11);
         opts.skip_dc = true;
         opts.initial_voltages = vec![(out, 1.0)];
+        // The ladder must not burn dt-halving rungs on an exhausted
+        // budget: the typed stop of the nominal rung, no rescue.
         let limits = ExecLimits::none().with_budget(Budget::unlimited().with_check_cap(2));
-        let ctx = ExecCtx::strict().with_limits(limits);
+        let ctx = ExecCtx::serial().with_limits(limits);
         let err = transient(&ctx, &c, &opts).unwrap_err();
         match err {
             SpiceError::Linear(NumError::BudgetExhausted { site }) => {
@@ -927,15 +837,6 @@ mod tests {
             }
             other => panic!("expected budget exhaustion, got {other:?}"),
         }
-        // The ladder must not burn dt-halving rungs on an exhausted budget
-        // either: same typed error, no rescue.
-        let limits = ExecLimits::none().with_budget(Budget::unlimited().with_check_cap(2));
-        let ctx = ExecCtx::serial().with_limits(limits);
-        let err = transient(&ctx, &c, &opts).unwrap_err();
-        assert!(
-            matches!(err, SpiceError::Linear(NumError::BudgetExhausted { .. })),
-            "got {err:?}"
-        );
     }
 
     #[test]
@@ -955,7 +856,7 @@ mod tests {
         });
         let mut opts = TransientOptions::new(1e-10, 1e-11);
         opts.skip_dc = true;
-        let err = transient(&strict(), &c, &opts).unwrap_err();
+        let err = transient(&ExecCtx::serial(), &c, &opts).unwrap_err();
         assert!(
             matches!(err, SpiceError::Linear(NumError::NonFinite { .. })),
             "got {err:?}"
@@ -982,7 +883,7 @@ mod tests {
         let mut opts = TransientOptions::new(3.0 * tau, tau / 100.0);
         opts.skip_dc = true;
         opts.initial_voltages = vec![(out, 1.0)];
-        let (result, _) = transient(&strict(), &c, &opts).unwrap();
+        let (result, _) = transient(&ExecCtx::serial(), &c, &opts).unwrap();
         let v = result.voltage(&c, out);
         let times = result.times();
         let idx = times.iter().position(|&t| t >= tau).unwrap();

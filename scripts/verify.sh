@@ -9,8 +9,8 @@
 #   --tier 1     build (workspace + flowbench) + full test suite (both
 #                thread counts)
 #   --tier 2     tier 1 plus the fault-injection suite, scaling ablation,
-#                and lints (fmt + clippy -D warnings + rustdoc broken
-#                intra-doc links)
+#                and lints (fmt + clippy -D warnings + rustdoc -D
+#                warnings)
 #   --skip-lint  omit the fmt/clippy/rustdoc steps (CI runs them in a dedicated
 #                `lint` job, so the verify tiers must not duplicate them)
 #   default      all tiers
@@ -151,9 +151,10 @@ else
   echo "== tier-2: cargo clippy -D warnings (offline) =="
   cargo clippy --workspace --all-targets --offline -- -D warnings
 
-  # A doc link to a deleted or renamed item fails the build.
-  echo "== tier-2: rustdoc broken intra-doc links (offline) =="
-  RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
+  # Any rustdoc warning fails the build: a link to a deleted, renamed
+  # or private item, or a redundant explicit link target.
+  echo "== tier-2: rustdoc -D warnings (offline) =="
+  RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 fi
 
 echo "verify: all checks passed"

@@ -135,7 +135,7 @@ fn scf_recovery_disarmed_is_bit_identical_to_plain_solve() {
     fault::disarm();
     let solver = scf_solver();
     let (plain, _) = solver
-        .solve(&ExecCtx::strict(), 0.5, 0.1)
+        .solve(&ExecCtx::serial(), 0.5, 0.1)
         .expect("plain solve");
     let (laddered, report) = solver
         .solve(&ExecCtx::serial(), 0.5, 0.1)
@@ -144,6 +144,26 @@ fn scf_recovery_disarmed_is_bit_identical_to_plain_solve() {
     assert_eq!(plain.current_a.to_bits(), laddered.current_a.to_bits());
     assert_eq!(plain.charge_c.to_bits(), laddered.charge_c.to_bits());
     assert_eq!(plain.layer_potential_ev, laddered.layer_potential_ev);
+}
+
+#[test]
+fn scf_budget_stop_inside_negf_skips_the_rescue_rungs() {
+    let _g = injector_lock();
+    fault::disarm();
+    let _t = ArmedTelemetry::arm();
+    // A 150-check cap runs out at an NEGF energy point in the third SCF
+    // iteration. The stop reaches the ladder wrapped in `DeviceError::Negf`
+    // and must still skip the three rescue rungs: one expiry, not one per
+    // rung.
+    let limits = ExecLimits::none().with_budget(Budget::unlimited().with_check_cap(150));
+    let ctx = ExecCtx::serial().with_limits(limits);
+    let err = scf_solver().solve(&ctx, 0.0, 0.1).unwrap_err();
+    assert!(err.is_budget_stop(), "expected a budget stop, got: {err:?}");
+    assert_eq!(
+        err.to_string(),
+        "negf: linear algebra failure: execution budget exhausted at negf.energy_point"
+    );
+    assert_eq!(telemetry::snapshot().counter("budget.expirations"), Some(1));
 }
 
 // ---------------------------------------------------- SPICE transient --
@@ -172,7 +192,7 @@ fn injected_newton_fault_triggers_dt_halving() {
     );
     // The rescued run is exactly a plain transient at the halved step.
     fault::disarm();
-    let (halved, _) = transient(&ExecCtx::strict(), &c, &TransientOptions::new(2e-9, 1e-11))
+    let (halved, _) = transient(&ExecCtx::serial(), &c, &TransientOptions::new(2e-9, 1e-11))
         .expect("plain halved run");
     let v = result.voltage(&c, out);
     assert_eq!(v.len(), halved.voltage(&c, out).len());
@@ -240,7 +260,7 @@ fn transient_recovery_disarmed_matches_plain_transient() {
     fault::disarm();
     let (c, out) = rc_circuit();
     let opts = TransientOptions::new(2e-9, 2e-11);
-    let (plain, _) = transient(&ExecCtx::strict(), &c, &opts).expect("plain");
+    let (plain, _) = transient(&ExecCtx::serial(), &c, &opts).expect("plain");
     let (laddered, report) = transient(&ExecCtx::serial(), &c, &opts).expect("laddered");
     assert!(report.nominal());
     let vp = plain.voltage(&c, out);
@@ -350,6 +370,31 @@ fn double_dc_failure_surfaces_rescue_chain_failed_with_both_errors() {
         snap.counter("spice.dc.source_stepping_failures"),
         Some(1),
         "double failure must count a stepping failure"
+    );
+}
+
+#[test]
+fn dc_budget_stop_in_a_rescue_rung_is_not_a_chain_failure() {
+    let _g = injector_lock();
+    let _t = ArmedTelemetry::arm();
+    // The injected primary failure sends the chain to source stepping,
+    // whose first ramp-step probe trips the zero check cap: the stop must
+    // surface as itself, not folded into a RescueChainFailed.
+    let _armed = ArmedPlan::arm(FaultPlan::seeded(5).with_site("newton-dc", 1.0));
+    let (c, _) = rc_circuit();
+    let limits = ExecLimits::none().with_budget(Budget::unlimited().with_check_cap(0));
+    let err = dc_operating_point(&c, None, DcOptions::default(), &limits).unwrap_err();
+    match &err {
+        SpiceError::Linear(NumError::BudgetExhausted { site }) => {
+            assert_eq!(site, "dc.source_step");
+        }
+        other => panic!("expected a budget stop, got {other:?}"),
+    }
+    assert_eq!(fault::injection_count("newton-dc"), 1);
+    assert_eq!(
+        telemetry::snapshot().counter("spice.dc.source_stepping_failures"),
+        None,
+        "a budget stop is not a stepping failure"
     );
 }
 

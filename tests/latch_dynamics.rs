@@ -63,7 +63,7 @@ fn latch_holds_both_states() {
         let mut opts = TransientOptions::new(200e-12, 0.2e-12);
         opts.skip_dc = true;
         opts.initial_voltages = vec![(left, l0), (right, r0)];
-        let (result, _) = transient(&ExecCtx::strict(), &c, &opts).expect("simulates");
+        let (result, _) = transient(&ExecCtx::serial(), &c, &opts).expect("simulates");
         let vl = *result.voltage(&c, left).last().unwrap();
         let vr = *result.voltage(&c, right).last().unwrap();
         if l0 > r0 {
@@ -89,7 +89,7 @@ fn latch_regenerates_from_perturbed_state() {
     let mut opts = TransientOptions::new(400e-12, 0.2e-12);
     opts.skip_dc = true;
     opts.initial_voltages = vec![(left, 0.55 * vdd), (right, 0.45 * vdd)];
-    let (result, _) = transient(&ExecCtx::strict(), &c, &opts).expect("simulates");
+    let (result, _) = transient(&ExecCtx::serial(), &c, &opts).expect("simulates");
     let vl = *result.voltage(&c, left).last().unwrap();
     let vr = *result.voltage(&c, right).last().unwrap();
     assert!(

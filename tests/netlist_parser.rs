@@ -172,6 +172,28 @@ fn malformed_corpus_yields_typed_errors() {
             ParseErrorKind::BadModel,
             2,
         ),
+        // Surrogate `points` cards that are not an integer in [3, 201]:
+        // rejected instead of truncated or allocated.
+        (
+            "* t\n.model sn surrogate points=3.9\nv1 d 0 dc 0.5\nm1 d d 0 sn\n.end\n",
+            ParseErrorKind::BadModel,
+            2,
+        ),
+        (
+            "* t\n.model sn surrogate points=-4\nv1 d 0 dc 0.5\nm1 d d 0 sn\n.end\n",
+            ParseErrorKind::BadModel,
+            2,
+        ),
+        (
+            "* t\n.model sn surrogate points=100000\nv1 d 0 dc 0.5\nm1 d d 0 sn\n.end\n",
+            ParseErrorKind::BadModel,
+            2,
+        ),
+        (
+            "* t\n.model sn surrogate points=1e30\nv1 d 0 dc 0.5\nm1 d d 0 sn\n.end\n",
+            ParseErrorKind::BadModel,
+            2,
+        ),
         // Self-recursive subcircuit: the error pins the instance card
         // inside the definition where expansion bottomed out.
         (

@@ -169,7 +169,7 @@ fn transient_rc_ladder_sparse_matches_dense() {
         }
         c
     };
-    let ctx = gnrlab::num::par::ExecCtx::strict();
+    let ctx = gnrlab::num::par::ExecCtx::serial();
     let mut results = Vec::new();
     for solver in [MnaSolverKind::Dense, MnaSolverKind::Sparse] {
         let c = build();

@@ -134,7 +134,7 @@ fn trapezoidal_fo4_waveform_pinned() {
     )
     .expect("set pulse");
     let opts = TransientOptions::new(8.8e-11, 4e-14).trapezoidal();
-    let (result, _) = transient(&ExecCtx::strict(), &chain.circuit, &opts).expect("transient");
+    let (result, _) = transient(&ExecCtx::serial(), &chain.circuit, &opts).expect("transient");
     let circuit = &chain.circuit;
     assert_eq!(result.len(), 2201, "time points");
     let mut h = KeyHasher::new();
