@@ -54,19 +54,20 @@ fn rgf_vs_dense(h: &mut Harness) {
 /// paper's "simulator based on table lookup techniques" buys per device
 /// evaluation inside the circuit Newton loop.
 fn table_vs_model(h: &mut Harness) {
-    let cfg = DeviceConfig::test_small(12).expect("valid");
-    let model = SbfetModel::new(&cfg).expect("builds");
+    let model = || SbfetModel::new(&DeviceConfig::test_small(12).expect("valid")).expect("builds");
     let grid = TableGrid {
         vgs: (-0.35, 1.0),
         vds: (0.0, 0.85),
         points: 21,
     };
-    let table = DeviceTable::from_model(&ExecCtx::serial(), &model, Polarity::NType, grid, 4)
-        .expect("table");
-    h.bench(SUITE, "table_vs_model/bilinear_lookup", || {
+    let table = || {
+        DeviceTable::from_model(&ExecCtx::serial(), &model(), Polarity::NType, grid, 4)
+            .expect("table")
+    };
+    h.bench_with(SUITE, "table_vs_model/bilinear_lookup", table, |table| {
         black_box(table.current(black_box(0.37), black_box(0.29)))
     });
-    h.bench(SUITE, "table_vs_model/direct_model_eval", || {
+    h.bench_with(SUITE, "table_vs_model/direct_model_eval", model, |model| {
         black_box(
             model
                 .drain_current(black_box(0.37), black_box(0.29))
@@ -76,7 +77,7 @@ fn table_vs_model(h: &mut Harness) {
 
     // Folding the contact resistances into the table versus paying for
     // them at build time: fold cost amortizes over every lookup.
-    h.bench(SUITE, "fold_series_resistance_21x21", || {
+    h.bench_with(SUITE, "fold_series_resistance_21x21", table, |table| {
         black_box(table.fold_series_resistance(10e3, 10e3).expect("folds"))
     });
 }
@@ -138,14 +139,18 @@ fn scf_mixing(h: &mut Harness) {
             mixing,
             ..ScfOptions::fast()
         };
-        let solver = ScfSolver::new(&cfg, opts);
-        h.bench(SUITE, &format!("scf_mixing/{mixing}"), move || {
-            black_box(
-                solver
-                    .solve(&ExecCtx::serial(), 0.2, 0.2)
-                    .expect("converges"),
-            )
-        });
+        h.bench_with(
+            SUITE,
+            &format!("scf_mixing/{mixing}"),
+            || ScfSolver::new(&cfg, opts),
+            |solver| {
+                black_box(
+                    solver
+                        .solve(&ExecCtx::serial(), 0.2, 0.2)
+                        .expect("converges"),
+                )
+            },
+        );
     }
 }
 
@@ -155,21 +160,20 @@ fn scf_mixing(h: &mut Harness) {
 fn scf_recovery(h: &mut Harness) {
     let mut cfg = DeviceConfig::test_small(9).expect("valid");
     cfg.channel_cells = 8;
-    let solver = ScfSolver::new(&cfg, ScfOptions::fast());
-    h.bench(SUITE, "scf_recovery/direct", || {
-        black_box(
-            solver
-                .solve(&ExecCtx::serial(), black_box(0.2), black_box(0.2))
-                .expect("converges"),
-        )
-    });
-    h.bench(SUITE, "scf_recovery/ladder", || {
-        black_box(
-            solver
-                .solve(&ExecCtx::serial(), black_box(0.2), black_box(0.2))
-                .expect("converges"),
-        )
-    });
+    for label in ["direct", "ladder"] {
+        h.bench_with(
+            SUITE,
+            &format!("scf_recovery/{label}"),
+            || ScfSolver::new(&cfg, ScfOptions::fast()),
+            |solver| {
+                black_box(
+                    solver
+                        .solve(&ExecCtx::serial(), black_box(0.2), black_box(0.2))
+                        .expect("converges"),
+                )
+            },
+        );
+    }
 }
 
 /// Thread-pool scaling ablation: the same 21 x 21 bias-grid table build,
@@ -181,19 +185,27 @@ fn scf_recovery(h: &mut Harness) {
 /// effectively zero.
 fn par_scaling(h: &mut Harness) {
     let cfg = DeviceConfig::test_small(12).expect("valid");
-    let model = SbfetModel::new(&cfg).expect("builds");
     let grid = TableGrid {
         vgs: (-0.35, 1.0),
         vds: (0.0, 0.85),
         points: 21,
     };
     for (label, threads) in [("serial", 1usize), ("threads4", 4)] {
-        let ctx = ExecCtx::with_threads(threads);
-        h.bench(SUITE, &format!("par_scaling/from_model/{label}"), || {
-            black_box(
-                DeviceTable::from_model(&ctx, &model, Polarity::NType, grid, 4).expect("table"),
-            )
-        });
+        h.bench_with(
+            SUITE,
+            &format!("par_scaling/from_model/{label}"),
+            || {
+                (
+                    ExecCtx::with_threads(threads),
+                    SbfetModel::new(&cfg).expect("builds"),
+                )
+            },
+            |(ctx, model)| {
+                black_box(
+                    DeviceTable::from_model(ctx, model, Polarity::NType, grid, 4).expect("table"),
+                )
+            },
+        );
     }
 }
 
@@ -208,13 +220,11 @@ fn device_table(h: &mut Harness) {
     use gnr_device::{ballistic_negf_table, NegfTableOptions};
     let mut cfg = DeviceConfig::test_small(9).expect("valid");
     cfg.channel_cells = 6;
-    let model = SbfetModel::new(&cfg).expect("builds");
     let grid = TableGrid {
         vgs: (0.0, 0.6),
         vds: (0.05, 0.35),
         points: 3,
     };
-    let ctx = ExecCtx::with_threads(4);
     for (label, opts) in [
         (
             "legacy",
@@ -228,11 +238,22 @@ fn device_table(h: &mut Harness) {
         ),
         ("accelerated", NegfTableOptions::accelerated()),
     ] {
-        h.bench(SUITE, &format!("device_table/{label}"), || {
-            black_box(
-                ballistic_negf_table(&ctx, &model, Polarity::NType, grid, 4, &opts).expect("table"),
-            )
-        });
+        h.bench_with(
+            SUITE,
+            &format!("device_table/{label}"),
+            || {
+                (
+                    ExecCtx::with_threads(4),
+                    SbfetModel::new(&cfg).expect("builds"),
+                )
+            },
+            |(ctx, model)| {
+                black_box(
+                    ballistic_negf_table(ctx, model, Polarity::NType, grid, 4, &opts)
+                        .expect("table"),
+                )
+            },
+        );
     }
 }
 
@@ -257,7 +278,6 @@ fn mode_space(h: &mut Harness) {
     use gnr_device::{ballistic_negf_table, NegfTableOptions};
     let mut cfg = DeviceConfig::test_small(9).expect("valid");
     cfg.channel_cells = 6;
-    let model = SbfetModel::new(&cfg).expect("builds");
     let grid = TableGrid {
         vgs: (0.0, 0.6),
         vds: (0.05, 0.35),
@@ -268,11 +288,17 @@ fn mode_space(h: &mut Harness) {
         ("real_space", NegfTableOptions::accelerated()),
         ("mode_space", NegfTableOptions::mode_space()),
     ] {
-        h.bench(SUITE, &format!("mode_space/{label}"), || {
-            black_box(
-                ballistic_negf_table(&ctx, &model, Polarity::NType, grid, 4, &opts).expect("table"),
-            )
-        });
+        h.bench_with(
+            SUITE,
+            &format!("mode_space/{label}"),
+            || SbfetModel::new(&cfg).expect("builds"),
+            |model| {
+                black_box(
+                    ballistic_negf_table(&ctx, model, Polarity::NType, grid, 4, &opts)
+                        .expect("table"),
+                )
+            },
+        );
     }
 }
 
@@ -286,7 +312,7 @@ fn table_cache(h: &mut Harness) {
     use gnr_device::{ballistic_negf_table, DeviceError, NegfTableOptions, TableKey, TableStore};
     let mut cfg = DeviceConfig::test_small(9).expect("valid");
     cfg.channel_cells = 6;
-    let model = SbfetModel::new(&cfg).expect("builds");
+    let model = || SbfetModel::new(&cfg).expect("builds");
     let grid = TableGrid {
         vgs: (0.0, 0.6),
         vds: (0.05, 0.35),
@@ -305,18 +331,21 @@ fn table_cache(h: &mut Harness) {
             .negf(opts)
             .finish()
     };
-    h.bench(SUITE, "table_cache/cold_build", || {
+    h.bench_with(SUITE, "table_cache/cold_build", model, |model| {
         black_box(
-            ballistic_negf_table(&ctx, &model, Polarity::NType, grid, 4, &opts).expect("table"),
+            ballistic_negf_table(&ctx, model, Polarity::NType, grid, 4, &opts).expect("table"),
         )
     });
-    let store = TableStore::in_memory();
-    store
-        .get_or_build(key(&cfg, &opts), || {
-            ballistic_negf_table(&ctx, &model, Polarity::NType, grid, 4, &opts)
-        })
-        .expect("prime the store");
-    h.bench(SUITE, "table_cache/warm_hit", || {
+    let primed_store = || {
+        let store = TableStore::in_memory();
+        store
+            .get_or_build(key(&cfg, &opts), || {
+                ballistic_negf_table(&ctx, &model(), Polarity::NType, grid, 4, &opts)
+            })
+            .expect("prime the store");
+        store
+    };
+    h.bench_with(SUITE, "table_cache/warm_hit", primed_store, |store| {
         black_box(
             store
                 .get_or_build(key(&cfg, &opts), || -> Result<DeviceTable, DeviceError> {
@@ -478,6 +507,8 @@ fn sparse_mna(h: &mut Harness) {
 /// elaborator inside the measured region.
 fn circuit_zoo(h: &mut Harness) {
     use gnr_spice::dc::{dc_operating_point, DcOptions};
+    use gnr_spice::netlist::AnalysisCard;
+    use gnr_spice::transient::{transient, TransientOptions};
     use gnr_spice::{parse_deck, MnaSolverKind, ModelBindings};
 
     // A balanced tree of nand2 subcircuit instances reducing `width`
@@ -552,16 +583,43 @@ fn circuit_zoo(h: &mut Harness) {
             );
         }
     }
+
+    // One committed zoo deck end to end: the 4-stage clock buffer chain's
+    // transient off its own `.tran` card, on surrogate models only.
+    h.bench_with(
+        SUITE,
+        "circuit_zoo/tran/clock_f2",
+        || {
+            let elab = parse_deck(include_str!("../../../decks/zoo/clock_f2.sp"))
+                .expect("parse")
+                .elaborate(&ModelBindings::new())
+                .expect("elaborate");
+            let opts = elab
+                .analyses
+                .iter()
+                .find_map(|a| match a {
+                    AnalysisCard::Tran { dt, t_stop } => Some(TransientOptions::new(*t_stop, *dt)),
+                    _ => None,
+                })
+                .expect("deck has a .tran card");
+            (elab.circuit, opts)
+        },
+        |(circuit, opts)| {
+            black_box(transient(&ExecCtx::serial(), circuit, opts).expect("simulates"))
+        },
+    );
 }
 
 /// One nominal FO4 measurement (static-power DC solves plus a 6000-step
 /// backward-Euler transient on the 9-unknown bench): the transient-step
 /// layer that dominates the design-space contours and MC characterization.
 fn fo4_transient(h: &mut Harness) {
-    let (cell, vdd) = crate::circuit_kernels::nominal_cell();
-    h.bench(SUITE, "fo4_transient", || {
-        black_box(fo4_metrics_for_cell(&cell, black_box(vdd)).expect("measures"))
-    });
+    h.bench_with(
+        SUITE,
+        "fo4_transient",
+        crate::circuit_kernels::nominal_cell,
+        |(cell, vdd)| black_box(fo4_metrics_for_cell(cell, black_box(*vdd)).expect("measures")),
+    );
 }
 
 pub fn register(h: &mut Harness) {

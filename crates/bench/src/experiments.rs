@@ -17,46 +17,74 @@ use std::hint::black_box;
 
 const SUITE: &str = "experiments";
 
+/// `lib` once `warm` has built the tables a bench needs. The benches
+/// share one library, which starts empty: an unfiltered run builds each
+/// table once, and a filtered run builds only its own bench's tables.
+fn warmed<T>(
+    lib: &mut DeviceLibrary,
+    warm: impl FnOnce(&mut DeviceLibrary) -> T,
+) -> &mut DeviceLibrary {
+    warm(lib);
+    lib
+}
+
 pub fn register(h: &mut Harness) {
     let cfg = DeviceConfig::test_small(12).expect("valid");
-    let model = SbfetModel::new(&cfg).expect("builds");
-    h.bench(SUITE, "fig2_iv_sweep_31pts_4vd", || {
-        let mut acc = 0.0;
-        for vd in [0.05, 0.25, 0.5, 0.75] {
-            for i in 0..=30 {
-                acc += model
-                    .drain_current(i as f64 * 0.025, vd)
-                    .expect("evaluates");
+    h.bench_with(
+        SUITE,
+        "fig2_iv_sweep_31pts_4vd",
+        || SbfetModel::new(&cfg).expect("builds"),
+        |model| {
+            let mut acc = 0.0;
+            for vd in [0.05, 0.25, 0.5, 0.75] {
+                for i in 0..=30 {
+                    acc += model
+                        .drain_current(i as f64 * 0.025, vd)
+                        .expect("evaluates");
+                }
             }
-        }
-        black_box(acc)
-    });
+            black_box(acc)
+        },
+    );
 
-    let mut lib = DeviceLibrary::new(Fidelity::Fast);
-    // Warm the table cache outside the timed region.
     let ctx = ExecCtx::serial();
-    let _ = design_space_map(&ctx, &mut lib, &[0.4], &[0.1], 15).expect("warms");
-    h.bench(SUITE, "fig3_design_space_2x2", || {
-        black_box(design_space_map(&ctx, &mut lib, &[0.35, 0.45], &[0.08, 0.14], 15).expect("maps"))
-    });
+    let mut lib = DeviceLibrary::new(Fidelity::Fast);
+    h.bench_with(
+        SUITE,
+        "fig3_design_space_2x2",
+        || {
+            warmed(&mut lib, |lib| {
+                design_space_map(&ctx, lib, &[0.4], &[0.1], 15).expect("warms");
+            })
+        },
+        |lib| design_space_map(&ctx, lib, &[0.35, 0.45], &[0.08, 0.14], 15).expect("maps"),
+    );
 
     h.bench(SUITE, "table1_cmos_row_full_ro", || {
         black_box(cmos_row(CmosNode::N22, 0.8, 15).expect("measures"))
     });
 
-    let models: Vec<SbfetModel> = [9usize, 12]
-        .iter()
-        .map(|&n| SbfetModel::new(&DeviceConfig::test_small(n).expect("valid")).expect("builds"))
-        .collect();
-    h.bench(SUITE, "fig4_width_iv_2widths", || {
-        let mut acc = 0.0;
-        for m in &models {
-            for i in 0..=16 {
-                acc += m.drain_current(i as f64 * 0.05, 0.5).expect("evaluates");
+    h.bench_with(
+        SUITE,
+        "fig4_width_iv_2widths",
+        || -> Vec<SbfetModel> {
+            [9usize, 12]
+                .iter()
+                .map(|&n| {
+                    SbfetModel::new(&DeviceConfig::test_small(n).expect("valid")).expect("builds")
+                })
+                .collect()
+        },
+        |models| {
+            let mut acc = 0.0;
+            for m in models.iter() {
+                for i in 0..=16 {
+                    acc += m.drain_current(i as f64 * 0.05, 0.5).expect("evaluates");
+                }
             }
-        }
-        black_box(acc)
-    });
+            black_box(acc)
+        },
+    );
 
     h.bench(SUITE, "fig5_impurity_model_build", || {
         black_box(
@@ -65,49 +93,62 @@ pub fn register(h: &mut Harness) {
         )
     });
 
-    let axis2: Vec<(String, usize, f64)> = vec![("N=9".into(), 9, 0.0), ("N=18".into(), 18, 0.0)];
-    let _ = variability_table(&ctx, &mut lib, &axis2, &axis2, 0.4).expect("warms");
-    h.bench(SUITE, "table2_width_2x2", || {
-        black_box(variability_table(&ctx, &mut lib, &axis2, &axis2, 0.4).expect("tables"))
-    });
-    let axis3: Vec<(String, usize, f64)> = vec![("-2q".into(), 12, -2.0), ("+2q".into(), 12, 2.0)];
-    let _ = variability_table(&ctx, &mut lib, &axis3, &axis3, 0.4).expect("warms");
-    h.bench(SUITE, "table3_impurity_2x2", || {
-        black_box(variability_table(&ctx, &mut lib, &axis3, &axis3, 0.4).expect("tables"))
-    });
-    let axis4: Vec<(String, usize, f64)> =
-        vec![("9,+q".into(), 9, 1.0), ("18,-q".into(), 18, -1.0)];
-    let _ = variability_table(&ctx, &mut lib, &axis4, &axis4, 0.4).expect("warms");
-    h.bench(SUITE, "table4_combined_2x2", || {
-        black_box(variability_table(&ctx, &mut lib, &axis4, &axis4, 0.4).expect("tables"))
-    });
+    for (name, axis) in [
+        ("table2_width_2x2", [("N=9", 9, 0.0), ("N=18", 18, 0.0)]),
+        ("table3_impurity_2x2", [("-2q", 12, -2.0), ("+2q", 12, 2.0)]),
+        (
+            "table4_combined_2x2",
+            [("9,+q", 9, 1.0), ("18,-q", 18, -1.0)],
+        ),
+    ] {
+        let axis: Vec<(String, usize, f64)> = axis
+            .iter()
+            .map(|&(label, n, q)| (label.to_string(), n, q))
+            .collect();
+        let table = |lib: &mut DeviceLibrary| {
+            variability_table(&ctx, lib, &axis, &axis, 0.4).expect("tables")
+        };
+        h.bench_with(SUITE, name, || warmed(&mut lib, table), |lib| table(lib));
+    }
 
     // Characterize a reduced universe proxy via the full API once, then
     // bench the sampling composition.
-    let universe =
-        characterize_stage_universe(&ctx, &mut lib, 0.4, 15, None).expect("characterizes");
-    h.bench(SUITE, "fig6_monte_carlo_10k_samples", || {
-        black_box(monte_carlo_from_universe(&ctx, &universe, 10_000, 7))
-    });
+    h.bench_with(
+        SUITE,
+        "fig6_monte_carlo_10k_samples",
+        || characterize_stage_universe(&ctx, &mut lib, 0.4, 15, None).expect("characterizes"),
+        |universe| black_box(monte_carlo_from_universe(&ctx, universe, 10_000, 7)),
+    );
     // Also bench one stage characterization (the expensive phase's unit).
-    let shift = lib.min_leakage_shift(0.4).expect("shift");
-    h.bench(SUITE, "fig6_stage_characterization_unit", || {
-        black_box(
-            inverter_figures(
-                &ctx,
-                &mut lib,
-                DeviceVariant::width(9, ArrayScenario::AllFour),
-                DeviceVariant::nominal(),
-                0.4,
-                shift,
-                Some(5e9),
-            )
-            .expect("measures"),
+    let stage = |(lib, shift): &mut (&mut DeviceLibrary, f64)| {
+        inverter_figures(
+            &ctx,
+            lib,
+            DeviceVariant::width(9, ArrayScenario::AllFour),
+            DeviceVariant::nominal(),
+            0.4,
+            *shift,
+            Some(5e9),
         )
-    });
+        .expect("measures")
+    };
+    h.bench_with(
+        SUITE,
+        "fig6_stage_characterization_unit",
+        || {
+            let shift = lib.min_leakage_shift(0.4).expect("shift");
+            let mut state = (&mut lib, shift);
+            stage(&mut state);
+            state
+        },
+        stage,
+    );
 
-    let _ = latch_study(&ctx, &mut lib, 0.4).expect("warms");
-    h.bench(SUITE, "fig7_latch_three_cases", || {
-        black_box(latch_study(&ctx, &mut lib, 0.4).expect("studies"))
-    });
+    let latch = |lib: &mut DeviceLibrary| latch_study(&ctx, lib, 0.4).expect("studies");
+    h.bench_with(
+        SUITE,
+        "fig7_latch_three_cases",
+        || warmed(&mut lib, latch),
+        |lib| latch(lib),
+    );
 }

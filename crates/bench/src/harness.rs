@@ -4,10 +4,10 @@
 //! Each benchmark runs a warmup phase, then `samples` timed batches; the
 //! per-iteration wall time of each batch forms the sample distribution
 //! from which median/p10/p90 are reported. Results can be emitted as a
-//! machine-readable JSON document (the `BENCH_*.json` trajectory format)
-//! or as a human-readable table.
+//! machine-readable `gnr-bench/v1` JSON document (the input of
+//! `gnr-bench compare`) or as a human-readable table.
 
-use gnr_num::Json;
+use gnr_num::{telemetry, Json, TelemetrySnapshot};
 use std::time::{Duration, Instant};
 
 /// Timing controls for one harness run.
@@ -63,6 +63,9 @@ pub struct Record {
     pub min_ns: f64,
     /// Slowest batch \[ns/iter\].
     pub max_ns: f64,
+    /// Telemetry counters recorded over the `iters` measured iterations
+    /// (warmup and set-up excluded), when telemetry is armed.
+    pub counters: Vec<(String, u64)>,
 }
 
 impl Record {
@@ -77,6 +80,15 @@ impl Record {
             ("mean_ns".into(), Json::Num(self.mean_ns)),
             ("min_ns".into(), Json::Num(self.min_ns)),
             ("max_ns".into(), Json::Num(self.max_ns)),
+            (
+                "counters".into(),
+                Json::Obj(
+                    self.counters
+                        .iter()
+                        .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
+                        .collect(),
+                ),
+            ),
         ])
     }
 }
@@ -128,6 +140,20 @@ impl Harness {
     /// The closure's return value is passed through `black_box` so the
     /// optimizer cannot elide the measured work.
     pub fn bench<R, F: FnMut() -> R>(&mut self, suite: &str, name: &str, mut f: F) {
+        self.bench_with(suite, name, || (), |_| f());
+    }
+
+    /// [`Harness::bench`] for a benchmark that needs state: `setup` runs
+    /// only when the benchmark is selected and not listed, so a filtered
+    /// run (one benchmark per process in `scripts/bench_gate.sh`) and
+    /// `--list` pay for no other benchmark's set-up.
+    pub fn bench_with<S, R>(
+        &mut self,
+        suite: &str,
+        name: &str,
+        setup: impl FnOnce() -> S,
+        mut f: impl FnMut(&mut S) -> R,
+    ) {
         if !self.selected(suite, name) {
             return;
         }
@@ -135,6 +161,8 @@ impl Harness {
             self.listed.push(format!("{suite}/{name}"));
             return;
         }
+        let mut state = setup();
+        let mut f = || f(&mut state);
         if !self.quiet {
             eprint!("{suite}/{name} ... ");
         }
@@ -153,6 +181,7 @@ impl Harness {
         let batch_budget_ns = self.opts.measure.as_nanos() as f64 / self.opts.samples.max(1) as f64;
         let iters_per_batch = ((batch_budget_ns / est_ns).floor() as u64).max(1);
 
+        let before = telemetry::is_armed().then(telemetry::snapshot);
         let mut per_iter_ns = Vec::with_capacity(self.opts.samples);
         let mut total_iters = 0u64;
         for _ in 0..self.opts.samples.max(2) {
@@ -175,6 +204,9 @@ impl Harness {
             mean_ns: mean,
             min_ns: per_iter_ns[0],
             max_ns: *per_iter_ns.last().expect("samples >= 2"),
+            counters: before
+                .map(|b| counter_delta(&b, &telemetry::snapshot()))
+                .unwrap_or_default(),
         };
         if !self.quiet {
             eprintln!(
@@ -199,26 +231,15 @@ impl Harness {
     }
 
     /// Renders all records as the machine-readable JSON document.
-    /// `hardware` is the host tag `bench-compare` keys its skip logic on;
-    /// `telemetry` (when armed) embeds the run's solver counters so the
-    /// gate can flag iteration-count drift.
-    pub fn to_json(&self, quick: bool, hardware: &str, telemetry: Option<Json>) -> Json {
-        let mut pairs = vec![
+    pub fn to_json(&self, quick: bool) -> Json {
+        Json::Obj(vec![
             ("schema".into(), Json::from("gnr-bench/v1")),
             ("quick".into(), Json::Bool(quick)),
-            (
-                "host".into(),
-                Json::Obj(vec![("hardware".into(), Json::from(hardware))]),
-            ),
             (
                 "benches".into(),
                 Json::Arr(self.records.iter().map(Record::to_json).collect()),
             ),
-        ];
-        if let Some(t) = telemetry {
-            pairs.push(("telemetry".into(), t));
-        }
-        Json::Obj(pairs)
+        ])
     }
 
     /// Renders all records as an aligned human-readable table.
@@ -246,6 +267,18 @@ impl Harness {
         }
         out
     }
+}
+
+/// Counters that grew between two snapshots of the global sink, with
+/// their growth.
+fn counter_delta(before: &TelemetrySnapshot, after: &TelemetrySnapshot) -> Vec<(String, u64)> {
+    after
+        .counters()
+        .filter_map(|(name, v)| {
+            let grown = v.saturating_sub(before.counter(name).unwrap_or(0));
+            (grown > 0).then(|| (name.to_string(), grown))
+        })
+        .collect()
 }
 
 /// Human-readable duration from nanoseconds.
@@ -281,15 +314,10 @@ mod tests {
         assert_eq!(h.records().len(), 1);
         let r = &h.records()[0];
         assert!(r.median_ns > 0.0 && r.p10_ns <= r.median_ns && r.median_ns <= r.p90_ns);
-        let doc = h.to_json(true, "test-cpu x2", None);
-        let text = doc.dump();
+        let text = h.to_json(true).dump();
         let back = Json::parse(&text).unwrap();
         assert_eq!(back.get("schema").unwrap().as_str(), Some("gnr-bench/v1"));
         assert_eq!(back.get("benches").unwrap().as_array().unwrap().len(), 1);
-        assert_eq!(
-            back.get("host").unwrap().get("hardware").unwrap().as_str(),
-            Some("test-cpu x2")
-        );
     }
 
     #[test]
@@ -303,6 +331,21 @@ mod tests {
     fn list_mode_collects_names_without_running() {
         let mut h = Harness::new(BenchOptions::quick(), None, true, true);
         h.bench("unit", "spin", || panic!("must not run"));
-        assert_eq!(h.listed(), ["unit/spin"]);
+        h.bench_with(
+            "unit",
+            "setup",
+            || panic!("must not set up"),
+            |_: &mut ()| 0,
+        );
+        assert_eq!(h.listed(), ["unit/spin", "unit/setup"]);
+    }
+
+    #[test]
+    fn setup_runs_only_for_a_selected_bench() {
+        let mut h = Harness::new(BenchOptions::quick(), Some("unit/b".into()), false, true);
+        h.bench_with("unit", "a", || panic!("filtered out"), |_: &mut ()| 0);
+        h.bench_with("unit", "b", || 2u64, |s| s.pow(3));
+        assert_eq!(h.records().len(), 1);
+        assert_eq!(h.records()[0].name, "b");
     }
 }

@@ -9,12 +9,10 @@
 //! - `experiments` — reduced-size versions of every paper table/figure
 //!
 //! `device` and `circuit` run by default; pass `--suite all` for
-//! everything. `--json` prints the machine-readable document consumed by
-//! the `BENCH_*.json` perf-trajectory tooling:
-//!
-//! ```text
-//! cargo run -p gnr-bench --release -- --json > BENCH_baseline.json
-//! ```
+//! everything. `--json` prints the `gnr-bench/v1` document that
+//! `gnr-bench compare` reads; `scripts/bench_gate.sh` runs the
+//! `ablations` and `experiments` benchmarks that way at a parent and a
+//! changed revision and compares the two (see `compare.rs`).
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
@@ -32,10 +30,10 @@ gnr-bench — zero-dependency benchmark harness for the gnrlab workspace
 
 USAGE:
     gnr-bench [OPTIONS]
-    gnr-bench compare --baseline <FILE> --current <FILE> [--tolerance <FRAC>]
+    gnr-bench compare --parent <DIR> --change <DIR>
 
 OPTIONS:
-    --json             emit machine-readable JSON on stdout (BENCH_*.json)
+    --json             emit the gnr-bench/v1 JSON document on stdout
     --suite <NAME>     run a suite: device | circuit | ablations |
                        experiments | all  (repeatable; default: device,circuit)
     --filter <SUBSTR>  only run benchmarks whose suite/name contains SUBSTR
@@ -43,13 +41,14 @@ OPTIONS:
     --list             print the selected benchmark names without running
     -h, --help         show this help
 
-COMPARE MODE (the CI perf gate):
-    Diffs a --json run against a checked-in baseline. Fails (exit 1) on a
-    best-case (min_ns) timing regression beyond --tolerance (default
-    0.25 = +25%; noise-robust — host interference only adds time),
-    warns on telemetry counter drift and added/removed benchmarks, and
-    skips (exit 0) when the baseline's hardware tag does not match this
-    host. Set GNR_TELEMETRY=1 to embed solver counters in --json output.
+COMPARE MODE (the CI perf gate, driven by scripts/bench_gate.sh):
+    Reads every --json document in the parent and change directories,
+    one filtered run of one benchmark each. Fails (exit 1) when a
+    benchmark's best min_ns over the change's runs exceeds the best over
+    the parent's by more than x1.25, or when a change-side run holds
+    anything but one record; warns on per-iteration counter drift and on
+    benchmarks found on one side only. Set GNR_TELEMETRY=1 to record
+    each benchmark's solver counters in --json output.
 ";
 
 struct Cli {
@@ -109,23 +108,37 @@ fn parse_args() -> Result<Cli, String> {
     Ok(cli)
 }
 
+/// Reads every `*.json` document in `dir`, in file-name order, each
+/// with its path.
+fn load_dir(dir: &str) -> Result<Vec<(String, gnr_num::Json)>, String> {
+    let entries = std::fs::read_dir(dir).map_err(|e| format!("cannot read {dir}: {e}"))?;
+    let mut paths: Vec<std::path::PathBuf> = entries
+        .filter_map(|e| Some(e.ok()?.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    paths.sort();
+    paths
+        .into_iter()
+        .map(|p| {
+            let name = p.display().to_string();
+            let text =
+                std::fs::read_to_string(&p).map_err(|e| format!("cannot read {name}: {e}"))?;
+            let doc =
+                gnr_num::Json::parse(&text).map_err(|e| format!("cannot parse {name}: {e}"))?;
+            Ok((name, doc))
+        })
+        .collect()
+}
+
 /// Parses and runs `gnr-bench compare ...`; returns the process exit code.
 fn run_compare(args: &[String]) -> i32 {
-    let mut baseline: Option<String> = None;
-    let mut current: Option<String> = None;
-    let mut opts = compare::CompareOptions::default();
+    let mut parent: Option<String> = None;
+    let mut change: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--baseline" => baseline = it.next().cloned(),
-            "--current" => current = it.next().cloned(),
-            "--tolerance" => {
-                let Some(t) = it.next().and_then(|v| v.parse::<f64>().ok()) else {
-                    eprintln!("error: --tolerance needs a number\n\n{USAGE}");
-                    return 2;
-                };
-                opts.timing_tolerance = t;
-            }
+            "--parent" => parent = it.next().cloned(),
+            "--change" => change = it.next().cloned(),
             "-h" | "--help" => {
                 print!("{USAGE}");
                 return 0;
@@ -136,22 +149,18 @@ fn run_compare(args: &[String]) -> i32 {
             }
         }
     }
-    let (Some(base_path), Some(cur_path)) = (baseline, current) else {
-        eprintln!("error: compare needs --baseline and --current\n\n{USAGE}");
+    let (Some(parent), Some(change)) = (parent, change) else {
+        eprintln!("error: compare needs --parent and --change\n\n{USAGE}");
         return 2;
     };
-    let load = |path: &str| -> Result<gnr_num::Json, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        gnr_num::Json::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))
-    };
-    let (base_doc, cur_doc) = match (load(&base_path), load(&cur_path)) {
-        (Ok(b), Ok(c)) => (b, c),
+    let (parent_docs, change_docs) = match (load_dir(&parent), load_dir(&change)) {
+        (Ok(p), Ok(c)) => (p, c),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("error: {e}");
             return 2;
         }
     };
-    let report = compare::compare(&base_doc, &cur_doc, opts);
+    let report = compare::compare(&parent_docs, &change_docs);
     print!("{}", report.render());
     i32::from(!report.passed())
 }
@@ -190,17 +199,11 @@ fn main() {
         }
         return;
     }
-    let snapshot = telemetry_armed.then(gnr_num::telemetry::snapshot);
     if cli.json {
-        let telemetry = snapshot.map(|s| s.to_json());
-        println!(
-            "{}",
-            h.to_json(cli.quick, &compare::hardware_tag(), telemetry)
-                .dump()
-        );
+        println!("{}", h.to_json(cli.quick).dump());
     } else {
         print!("{}", h.to_table());
-        if let Some(snap) = snapshot {
+        if let Some(snap) = telemetry_armed.then(gnr_num::telemetry::snapshot) {
             if !snap.is_empty() {
                 println!("\ntelemetry ({} metrics):", snap.len());
                 print!("{}", snap.render());

@@ -10,10 +10,11 @@
 //! Results are `gnr-rawfile/v1` JSON on stdout (or `--out <file>`).
 //! `.model … surrogate` cards resolve automatically; `.model … gnrfet`
 //! cards build real ballistic tables through `gnr-device` (parameters:
-//! `n` GNR index, `ribbons`, `config=small|paper`, `vdd`, grid bounds
-//! `vgs0 vgs1 vds0 vds1 points`, `polarity`, `vgshift=auto|<v>`,
-//! `rs`/`rd`). Exit codes: 0 ok, 1 usage/IO, 2 parse error, 3 analysis
-//! failure.
+//! `n` GNR index (an integer in [3, 30]), `ribbons` (an integer >= 1),
+//! `config=small|paper`, `vdd`, grid bounds `vgs0 vgs1 vds0 vds1`,
+//! `points` (an integer in [3, 201]), `polarity`, `vgshift=auto|<v>`,
+//! `rs`/`rd`). A `.dc` or `.ac` sweep may hold at most 100 000 points.
+//! Exit codes: 0 ok, 1 usage/IO, 2 parse error, 3 analysis failure.
 
 use gnr_device::table::TableGrid;
 use gnr_device::{DeviceConfig, DeviceTable, Polarity, SbfetModel};
@@ -21,11 +22,23 @@ use gnr_num::budget::ExecLimits;
 use gnr_num::json::Json;
 use gnr_num::par::ExecCtx;
 use gnr_spice::dc::{dc_operating_point, set_source_value, DcOptions};
-use gnr_spice::netlist::{parse_deck, AnalysisCard, Deck, ElaboratedDeck, ModelBindings};
+use gnr_spice::netlist::{
+    parse_deck, AnalysisCard, Deck, ElaboratedDeck, ModelBindings, MAX_TABLE_POINTS,
+};
 use gnr_spice::rawfile;
 use gnr_spice::transient::{transient, TransientOptions};
 use gnr_spice::{ac::ac_analysis, SpiceError};
 use std::sync::Arc;
+
+/// Most operating points a `.dc` sweep and most frequencies an `.ac`
+/// sweep may ask for: a deck's step size must not make the CLI allocate
+/// or solve without bound.
+const MAX_SWEEP_POINTS: usize = 100_000;
+
+/// Widest armchair GNR index a `gnrfet` card may ask for. The paper
+/// studies N = 9…18; 30 leaves headroom while keeping the dense 2N×2N
+/// unit-cell Hamiltonian and the device grid small. `AGnr` needs N >= 3.
+const MAX_GNR_INDEX: usize = 30;
 
 fn main() {
     std::process::exit(run(std::env::args().skip(1).collect()));
@@ -159,8 +172,16 @@ fn run_dc(elab: &ElaboratedDeck) -> Result<Json, SpiceError> {
             let k = elab.source_index(&source).ok_or_else(|| {
                 SpiceError::config(format!(".dc sweeps unknown source '{source}'"))
             })?;
-            let n_steps = ((stop - start) / step).round() as usize;
-            let values: Vec<f64> = (0..=n_steps).map(|i| start + i as f64 * step).collect();
+            let n_steps = ((stop - start) / step).round();
+            // NaN: an infinite start and stop.
+            if n_steps.is_nan() || n_steps >= MAX_SWEEP_POINTS as f64 {
+                return Err(SpiceError::config(format!(
+                    ".dc sweep {start}..{stop} by {step} exceeds {MAX_SWEEP_POINTS} points"
+                )));
+            }
+            let values: Vec<f64> = (0..=n_steps as usize)
+                .map(|i| start + i as f64 * step)
+                .collect();
             let mut circuit = elab.circuit.clone();
             let mut solutions = Vec::with_capacity(values.len());
             let mut x_prev: Option<Vec<f64>> = None;
@@ -220,6 +241,11 @@ fn run_ac(elab: &ElaboratedDeck) -> Result<Json, SpiceError> {
         if f > f_stop * (1.0 + 1e-12) {
             break;
         }
+        if freqs.len() == MAX_SWEEP_POINTS {
+            return Err(SpiceError::config(format!(
+                ".ac sweep exceeds {MAX_SWEEP_POINTS} frequencies"
+            )));
+        }
         freqs.push(f);
         i += 1;
     }
@@ -240,8 +266,9 @@ fn gnrfet_bindings(deck: &Deck) -> Result<ModelBindings, String> {
         }
         let bad = |e: &dyn std::fmt::Display| format!("model '{}': {e}", card.name);
         let p = |key: &str, dflt: f64| card.param_f64(key, dflt).map_err(|e| bad(&e));
-        let n = p("n", 12.0)? as usize;
-        let ribbons = p("ribbons", 4.0)? as usize;
+        let int = |key: &str, dflt: usize, range| card.param_usize(key, dflt, range);
+        let n = int("n", 12, 3..=MAX_GNR_INDEX).map_err(|e| bad(&e))?;
+        let ribbons = int("ribbons", 4, 1..=usize::MAX).map_err(|e| bad(&e))?;
         let vdd = p("vdd", 0.4)?;
         let cfg = match card.param("config").unwrap_or("small") {
             "small" => DeviceConfig::test_small(n).map_err(|e| bad(&e))?,
@@ -252,7 +279,7 @@ fn gnrfet_bindings(deck: &Deck) -> Result<ModelBindings, String> {
         let grid = TableGrid {
             vgs: (p("vgs0", -0.35)?, p("vgs1", 1.0)?),
             vds: (p("vds0", 0.0)?, p("vds1", 0.85)?),
-            points: p("points", 21.0)? as usize,
+            points: int("points", 21, 3..=MAX_TABLE_POINTS).map_err(|e| bad(&e))?,
         };
         let mut table = DeviceTable::from_model(&ctx, &model, Polarity::NType, grid, ribbons)
             .map_err(|e| bad(&e))?;

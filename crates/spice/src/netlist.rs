@@ -30,6 +30,7 @@ use gnr_device::{DeviceTable, Polarity};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// Maximum `.subckt` expansion depth before the parser declares a cycle.
@@ -211,6 +212,46 @@ impl ModelCard {
             }),
         }
     }
+
+    /// Integer parameter in `range`, or `default` when absent. A count
+    /// written as `3.9`, `-4` or `1e30` is rejected, never truncated.
+    ///
+    /// # Errors
+    ///
+    /// [`ParseErrorKind::BadNumber`] when the value does not parse,
+    /// [`ParseErrorKind::BadModel`] when it is not an integer in `range`;
+    /// both at the card's line.
+    pub fn param_usize(
+        &self,
+        key: &str,
+        default: usize,
+        range: RangeInclusive<usize>,
+    ) -> Result<usize, ParseError> {
+        match self.param(key) {
+            None => Ok(default),
+            Some(_) => integer_in(self.param_f64(key, 0.0)?, range).map_err(|detail| ParseError {
+                line: self.line,
+                col: 1,
+                kind: ParseErrorKind::BadModel,
+                detail: format!("model '{}' param '{key}': {detail}", self.name),
+            }),
+        }
+    }
+}
+
+/// `value` as an integer in `range`: deck cards write counts as SPICE
+/// numbers, and an `as usize` cast would silently truncate a fraction,
+/// clamp a negative to 0 and accept an unbounded count.
+fn integer_in(value: f64, range: RangeInclusive<usize>) -> Result<usize, String> {
+    let (lo, hi) = (*range.start(), *range.end());
+    if value.fract() == 0.0 && value >= lo as f64 && value <= hi as f64 {
+        return Ok(value as usize);
+    }
+    Err(if hi == usize::MAX {
+        format!("must be an integer >= {lo}, got {value}")
+    } else {
+        format!("must be an integer in [{lo}, {hi}], got {value}")
+    })
 }
 
 /// A parsed analysis card.
@@ -400,10 +441,11 @@ impl Deck {
     }
 }
 
-/// Largest per-axis node count a surrogate `.model` card may request: the
-/// table holds `points²` bias nodes, so this bounds one card at ~40k nodes
-/// (a deck submitted to the service cannot reserve an unbounded table).
-const MAX_SURROGATE_POINTS: usize = 201;
+/// Largest per-axis node count a `.model` card (surrogate or gnrfet) may
+/// request: the table holds `points²` bias nodes, so this bounds one card
+/// at ~40k nodes (a deck submitted to the service cannot reserve an
+/// unbounded table).
+pub const MAX_TABLE_POINTS: usize = 201;
 
 /// Builds a square-law surrogate [`DeviceTable`] from a
 /// `.model <name> surrogate …` card — the cheap, fully deterministic
@@ -416,7 +458,7 @@ const MAX_SURROGATE_POINTS: usize = 201;
 /// overdrive width — smooths the square-law turn-on kink), `gleak` \[S\],
 /// `cg` \[F/V\], `rs`/`rd` \[Ω\] (folded series resistance), grid bounds
 /// `vgs0 vgs1 vds0 vds1` and `points`, the per-axis node count: an integer
-/// in `[3, MAX_SURROGATE_POINTS]` (3 to 201).
+/// in `[3, MAX_TABLE_POINTS]` (3 to 201).
 fn build_surrogate_table(card: &ModelCard) -> Result<Arc<DeviceTable>, ParseError> {
     let bad_model = |detail: String| ParseError {
         line: card.line,
@@ -436,15 +478,7 @@ fn build_surrogate_table(card: &ModelCard) -> Result<Arc<DeviceTable>, ParseErro
     let grid = TableGrid {
         vgs: (card.param_f64("vgs0", -0.3)?, card.param_f64("vgs1", 0.9)?),
         vds: (card.param_f64("vds0", 0.0)?, card.param_f64("vds1", 0.9)?),
-        points: match card.param_f64("points", 9.0)? {
-            p if p.fract() == 0.0 && (3.0..=MAX_SURROGATE_POINTS as f64).contains(&p) => p as usize,
-            p => {
-                return Err(bad_model(format!(
-                    "model '{}': points must be an integer in [3, {MAX_SURROGATE_POINTS}], got {p}",
-                    card.name
-                )))
-            }
-        },
+        points: card.param_usize("points", 9, 3..=MAX_TABLE_POINTS)?,
     };
     let polarity = match card.param("polarity").unwrap_or("n") {
         "n" => Polarity::NType,
@@ -686,7 +720,14 @@ pub fn parse_deck(text: &str) -> Result<Deck, ParseError> {
                         ));
                     }
                     analyses.push(AnalysisCard::Ac {
-                        points_per_decade: number(&stmt[2])? as usize,
+                        points_per_decade: integer_in(number(&stmt[2])?, 1..=usize::MAX).map_err(
+                            |detail| {
+                                stmt[2].err(
+                                    ParseErrorKind::BadNumber,
+                                    format!(".ac points/decade {detail}"),
+                                )
+                            },
+                        )?,
                         f_start: number(&stmt[3])?,
                         f_stop: number(&stmt[4])?,
                     });

@@ -15,9 +15,11 @@
 #                `lint` job, so the verify tiers must not duplicate them)
 #   default      all tiers
 #
-# CI runs `--tier 1` on every push and `--tier 2 --skip-lint` on PRs;
-# pre-commit runs default to everything. The bench perf gate lives in
-# scripts/bench_gate.sh.
+# CI (.github/workflows/ci.yml) runs `--tier 1 --skip-lint` and
+# `--tier 2 --skip-lint` as two matrix jobs on every push to main, pull
+# request and manual dispatch (not on the weekly schedule); the lints run in
+# its `lint` job. Pre-commit runs default to everything. The bench perf
+# gate lives in scripts/bench_gate.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

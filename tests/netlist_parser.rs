@@ -194,6 +194,18 @@ fn malformed_corpus_yields_typed_errors() {
             ParseErrorKind::BadModel,
             2,
         ),
+        // `.ac` points/decade that is not an integer >= 1: rejected
+        // instead of truncated (2.9 used to sweep 2 points/decade).
+        (
+            "* t\nv1 a 0 dc 1\nr1 a 0 1k\n.ac dec 2.9 1e3 1e4\n.end\n",
+            ParseErrorKind::BadNumber,
+            4,
+        ),
+        (
+            "* t\nv1 a 0 dc 1\nr1 a 0 1k\n.ac dec 0 1e3 1e4\n.end\n",
+            ParseErrorKind::BadNumber,
+            4,
+        ),
         // Self-recursive subcircuit: the error pins the instance card
         // inside the definition where expansion bottomed out.
         (
