@@ -140,9 +140,12 @@ fn fo4_and_vtc(
 /// axes, using `stages`-stage ring-oscillator estimates derived from FO4
 /// inverter transients.
 ///
+/// The grid points fan out over `ctx`'s pool, and each probes `ctx`'s
+/// execution limits before it simulates.
+///
 /// # Errors
 ///
-/// Propagates device and circuit failures.
+/// Propagates device and circuit failures, and budget/cancellation stops.
 pub fn design_space_map(
     ctx: &ExecCtx,
     lib: &mut DeviceLibrary,
@@ -160,42 +163,42 @@ pub fn design_space_map(
         .collect();
     let vt_raw = extract_vt(&iv)?;
     let parasitics = ExtrinsicParasitics::nominal();
-    let mut points = Vec::with_capacity(vdd_axis.len() * vt_axis.len());
-    for &vdd in vdd_axis {
-        for &vt in vt_axis {
-            if vt >= 0.75 * vdd || vdd <= 0.05 {
-                points.push(None);
-                continue;
-            }
-            let shift = vt - vt_raw;
-            let n = raw_n.with_vg_shift(shift);
-            let p = n.mirrored();
-            let cell = InverterCell::new(&n, &p, &parasitics)?;
-            let point = match fo4_and_vtc(&cell, vdd) {
-                Ok((inv, vtc)) => {
-                    let snm = butterfly_snm(&vtc, &vtc, vdd).snm();
-                    let ro = estimate_oscillator_from_inverter(&inv, stages);
-                    Some(DesignPoint {
-                        vdd,
-                        vt,
-                        frequency_hz: ro.frequency_hz,
-                        edp_js: ro.edp_js,
-                        snm_v: snm,
-                        static_w: inv.static_power_w,
-                        dynamic_w: ro.dynamic_power_w,
-                    })
-                }
-                // Corners where the inverter cannot switch, or where the
-                // over-shifted tables defeat Newton, are infeasible rather
-                // than fatal.
-                Err(gnr_spice::SpiceError::Measurement { .. })
-                | Err(gnr_spice::SpiceError::NewtonDiverged { .. })
-                | Err(gnr_spice::SpiceError::RescueChainFailed { .. }) => None,
-                Err(e) => return Err(e.into()),
-            };
-            points.push(point);
+    // Grid points are independent: fan them over the pool row-major and
+    // merge in index order, so the map is bit-identical at any pool size
+    // and a fatal error is the one the serial loop would hit first.
+    let points = ctx.try_par_map_indexed(vdd_axis.len() * vt_axis.len(), |i| {
+        ctx.check_budget("contour.point")?;
+        let (vdd, vt) = (vdd_axis[i / vt_axis.len()], vt_axis[i % vt_axis.len()]);
+        if vt >= 0.75 * vdd || vdd <= 0.05 {
+            return Ok(None);
         }
-    }
+        let shift = vt - vt_raw;
+        let n = raw_n.with_vg_shift(shift);
+        let p = n.mirrored();
+        let cell = InverterCell::new(&n, &p, &parasitics)?;
+        match fo4_and_vtc(&cell, vdd) {
+            Ok((inv, vtc)) => {
+                let snm = butterfly_snm(&vtc, &vtc, vdd).snm();
+                let ro = estimate_oscillator_from_inverter(&inv, stages);
+                Ok(Some(DesignPoint {
+                    vdd,
+                    vt,
+                    frequency_hz: ro.frequency_hz,
+                    edp_js: ro.edp_js,
+                    snm_v: snm,
+                    static_w: inv.static_power_w,
+                    dynamic_w: ro.dynamic_power_w,
+                }))
+            }
+            // Corners where the inverter cannot switch, or where the
+            // over-shifted tables defeat Newton, are infeasible rather
+            // than fatal.
+            Err(gnr_spice::SpiceError::Measurement { .. })
+            | Err(gnr_spice::SpiceError::NewtonDiverged { .. })
+            | Err(gnr_spice::SpiceError::RescueChainFailed { .. }) => Ok(None),
+            Err(e) => Err(ExploreError::from(e)),
+        }
+    })?;
     Ok(DesignSpaceMap {
         vdd_axis: vdd_axis.to_vec(),
         vt_axis: vt_axis.to_vec(),

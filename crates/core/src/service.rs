@@ -32,10 +32,25 @@
 //! can watch cache hit rates, sample counts, and solver effort per job.
 //!
 //! Repeated jobs are the common case in design-space exploration, and
-//! they are served from caches at two levels: device tables from the
-//! content-addressed store (shared by every library and service handle
-//! cloned from it), and characterized universes from an in-service memo
-//! keyed by `(fidelity, V_DD, stages)`.
+//! they are served from caches at two levels:
+//!
+//! * device tables from the content-addressed store (shared by every
+//!   library and service handle cloned from it);
+//! * whole answers from one in-service request memo. Its key is the
+//!   canonical request — a kind tag, the library fidelity, and every
+//!   field, floats by bit pattern and axes length-prefixed, hashed with
+//!   [`KeyHasher`] — so a request one ULP away is a different key. It
+//!   holds [`JobRequest::Characterize`] universes (by `Arc`, so a repeat
+//!   is served by pointer) and [`JobRequest::EdpContour`] maps;
+//!   [`JobRequest::McSweep`] reads its universe through the
+//!   `Characterize` key. Errors are never memoized, and the memo has no
+//!   eviction: it lives as long as the service.
+//!
+//! Three kinds stay out of the memo. [`JobRequest::NegfTable`] is
+//! already served by the store, whose hit/miss counters report each
+//! repeat. [`JobRequest::McSweep`] checkpoints, resumes and streams its
+//! chunks to a sink, which a cached answer would skip, and a sweep over a
+//! warm universe is cheap. [`JobRequest::DeckOp`] is a single DC solve.
 
 use crate::contours::{design_space_map, DesignSpaceMap};
 use crate::devices::{DeviceLibrary, Fidelity};
@@ -237,11 +252,11 @@ impl JobResponse {
 }
 
 /// The serving layer: an execution context, a cached device library, a
-/// universe memo, and a FIFO admission queue. See the [module docs](self).
+/// request memo, and a FIFO admission queue. See the [module docs](self).
 pub struct CharacterizationService {
     ctx: ExecCtx,
     lib: DeviceLibrary,
-    universes: HashMap<u64, Arc<StageUniverse>>,
+    memo: HashMap<u64, JobOutput>,
     queue: VecDeque<JobRequest>,
 }
 
@@ -258,7 +273,7 @@ impl CharacterizationService {
         CharacterizationService {
             ctx,
             lib,
-            universes: HashMap::new(),
+            memo: HashMap::new(),
             queue: VecDeque::new(),
         }
     }
@@ -280,7 +295,7 @@ impl CharacterizationService {
 
     /// Replaces the context's execution limits (a fresh budget window or
     /// cancel token) while keeping the pool, the table store, and the
-    /// universe memo — how a long-lived service accepts new jobs after a
+    /// request memo — how a long-lived service accepts new jobs after a
     /// tripped budget or a cancelled sweep.
     pub fn set_limits(&mut self, limits: ExecLimits) {
         self.ctx = self.ctx.clone().with_limits(limits);
@@ -318,7 +333,9 @@ impl CharacterizationService {
     ///
     /// Propagates engine failures, and budget/cancellation stops (via
     /// [`ExploreError::Num`]) for characterization and contour jobs; an
-    /// interrupted sweep is NOT an error (see [`McRunOutcome`]).
+    /// interrupted sweep is NOT an error (see [`McRunOutcome`]). A request
+    /// the memo already holds is answered without running, so it meets no
+    /// budget probe.
     pub fn submit(&mut self, request: JobRequest) -> Result<JobResponse, ExploreError> {
         self.dispatch(request, None)
     }
@@ -346,10 +363,26 @@ impl CharacterizationService {
         request: JobRequest,
         sink: Option<&mut dyn FnMut(&McChunk)>,
     ) -> Result<JobResponse, ExploreError> {
+        let output = self.output(request, sink)?;
+        Ok(self.respond(output))
+    }
+
+    /// The answer to one request: from the memo when it holds the
+    /// request's key, else computed (and memoized when the kind is
+    /// memoized and the job succeeded).
+    fn output(
+        &mut self,
+        request: JobRequest,
+        sink: Option<&mut dyn FnMut(&McChunk)>,
+    ) -> Result<JobOutput, ExploreError> {
+        let key = self.memo_key(&request);
+        if let Some(hit) = key.and_then(|k| self.memo.get(&k)) {
+            return Ok(hit.clone());
+        }
         let output = match request {
-            JobRequest::Characterize { vdd, stages } => {
-                JobOutput::Universe(self.universe(vdd, stages)?)
-            }
+            JobRequest::Characterize { vdd, stages } => JobOutput::Universe(Arc::new(
+                characterize_stage_universe(&self.ctx, &mut self.lib, vdd, stages, None)?,
+            )),
             JobRequest::McSweep {
                 vdd,
                 stages,
@@ -357,7 +390,11 @@ impl CharacterizationService {
                 seed,
                 checkpoint,
             } => {
-                let universe = self.universe(vdd, stages)?;
+                let JobOutput::Universe(universe) =
+                    self.output(JobRequest::characterize(vdd, stages), None)?
+                else {
+                    unreachable!("a characterization job answers with a universe")
+                };
                 JobOutput::McSweep(monte_carlo_from_universe_resumable(
                     &self.ctx,
                     &universe,
@@ -386,7 +423,42 @@ impl CharacterizationService {
             } => JobOutput::Table(Arc::new(self.negf_table(n, grid, ribbons, &opts)?)),
             JobRequest::DeckOp { deck } => JobOutput::DeckRaw(self.deck_op(&deck)?),
         };
-        Ok(self.respond(output))
+        if let Some(k) = key {
+            self.memo.insert(k, output.clone());
+        }
+        Ok(output)
+    }
+
+    /// The memo key of a request the memo serves (`None` for the kinds it
+    /// leaves out; see the [module docs](self)).
+    fn memo_key(&self, request: &JobRequest) -> Option<u64> {
+        let mut h = KeyHasher::new();
+        h.write_str(&format!("{:?}", self.lib.fidelity()));
+        match request {
+            JobRequest::Characterize { vdd, stages } => {
+                h.write_str("service-characterize/v1");
+                h.write_f64(*vdd);
+                h.write_u64(*stages as u64);
+            }
+            JobRequest::EdpContour {
+                vdd_axis,
+                vt_axis,
+                stages,
+            } => {
+                h.write_str("service-edp-contour/v1");
+                for axis in [vdd_axis, vt_axis] {
+                    h.write_u64(axis.len() as u64);
+                    for &v in axis {
+                        h.write_f64(v);
+                    }
+                }
+                h.write_u64(*stages as u64);
+            }
+            JobRequest::McSweep { .. }
+            | JobRequest::NegfTable { .. }
+            | JobRequest::DeckOp { .. } => return None,
+        }
+        Some(h.finish())
     }
 
     /// Parses, elaborates, and DC-solves one deck under the service's
@@ -432,30 +504,6 @@ impl CharacterizationService {
         Ok(store.get_or_build(key, || {
             ballistic_negf_table(ctx, &model, Polarity::NType, grid, ribbons, opts)
         })?)
-    }
-
-    /// The memoized universe for `(vdd, stages)`, characterizing on miss.
-    fn universe(&mut self, vdd: f64, stages: usize) -> Result<Arc<StageUniverse>, ExploreError> {
-        let key = {
-            let mut h = KeyHasher::new();
-            h.write_str("service-universe");
-            h.write_str(&format!("{:?}", self.lib.fidelity()));
-            h.write_f64(vdd);
-            h.write_u64(stages as u64);
-            h.finish()
-        };
-        if let Some(u) = self.universes.get(&key) {
-            return Ok(Arc::clone(u));
-        }
-        let universe = Arc::new(characterize_stage_universe(
-            &self.ctx,
-            &mut self.lib,
-            vdd,
-            stages,
-            None,
-        )?);
-        self.universes.insert(key, Arc::clone(&universe));
-        Ok(universe)
     }
 
     fn respond(&self, output: JobOutput) -> JobResponse {

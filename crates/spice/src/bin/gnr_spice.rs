@@ -13,7 +13,8 @@
 //! `n` GNR index (an integer in [3, 30]), `ribbons` (an integer >= 1),
 //! `config=small|paper`, `vdd`, grid bounds `vgs0 vgs1 vds0 vds1`,
 //! `points` (an integer in [3, 201]), `polarity`, `vgshift=auto|<v>`,
-//! `rs`/`rd`). A `.dc` or `.ac` sweep may hold at most 100 000 points.
+//! `rs`/`rd`). A `.dc` or `.ac` sweep may hold at most 100 000 points,
+//! and a `.tran` at most 1 000 000 time steps.
 //! Exit codes: 0 ok, 1 usage/IO, 2 parse error, 3 analysis failure.
 
 use gnr_device::table::TableGrid;

@@ -31,6 +31,13 @@ pub enum Integrator {
     Trapezoidal,
 }
 
+/// Most time steps one transient integration may take. Every caller in
+/// the repository stays far below it: the FO4 measurement takes 6000
+/// steps, a ring-oscillator measurement 360 per stage, the decks a few
+/// hundred, and the default ladder's deepest `dt/8` rung eight times its
+/// nominal count.
+pub const MAX_TRANSIENT_STEPS: usize = 1_000_000;
+
 /// Transient analysis controls.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TransientOptions {
@@ -311,6 +318,16 @@ pub(crate) fn transient_nominal(
     if opts.dt.is_nan() || opts.dt <= 0.0 || opts.t_stop.is_nan() || opts.t_stop <= 0.0 {
         return Err(SpiceError::config("transient needs dt > 0 and t_stop > 0"));
     }
+    // Bound the step count before anything is allocated: the result keeps
+    // every step, and the cast below saturates instead of failing.
+    let steps = (opts.t_stop / opts.dt).ceil();
+    if !opts.t_stop.is_finite() || steps > MAX_TRANSIENT_STEPS as f64 {
+        return Err(SpiceError::config(format!(
+            "transient to t_stop {:e} s at dt {:e} s exceeds {MAX_TRANSIENT_STEPS} steps",
+            opts.t_stop, opts.dt
+        )));
+    }
+    let steps = steps as usize;
     let n = circuit.unknowns();
     // Initial state.
     let mut x = if opts.skip_dc {
@@ -326,7 +343,6 @@ pub(crate) fn transient_nominal(
     let mut result = TransientResult::new(n, circuit.node_count());
     result.push(0.0, &x);
 
-    let steps = (opts.t_stop / opts.dt).ceil() as usize;
     let dt = opts.dt;
     // The step loop's working state is allocated here, once per run: the
     // linear system (the sparse backend's symbolic analysis and the dense

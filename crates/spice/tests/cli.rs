@@ -38,6 +38,17 @@ fn ac_sweep_with_too_many_frequencies_is_a_config_error() {
 }
 
 #[test]
+fn tran_with_too_many_steps_is_a_config_error() {
+    // A subnormal step and an infinite stop time: both are rejected before
+    // the DC solve, so no step is allocated.
+    for (test, card) in [("tran-dt", "1e-300 1e-9"), ("tran-inf", "1e-12 1e999")] {
+        let (code, err) = run(test, "tran", &format!("{DIVIDER}.tran {card}\n.end\n"));
+        assert_eq!(code, 3, "{card}: {err}");
+        assert!(err.contains("exceeds 1000000 steps"), "{card}: {err}");
+    }
+}
+
+#[test]
 fn gnrfet_card_counts_must_be_integers_in_range() {
     for (test, params, key) in [
         ("points-frac", "points=3.9", "'points'"),

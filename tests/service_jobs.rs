@@ -302,3 +302,136 @@ fn tripped_budget_drains_the_queue_as_typed_errors() {
         );
     }
 }
+
+/// The small contour the memo tests submit: 2 × 2 points at Fast
+/// fidelity, at least three of them feasible.
+fn small_contour(vdd_hi: f64) -> JobRequest {
+    JobRequest::edp_contour(vec![0.3, vdd_hi], vec![0.08, 0.16], 15)
+}
+
+fn transient_steps(snapshot: &telemetry::TelemetrySnapshot) -> u64 {
+    snapshot.counter("transient.steps").unwrap_or(0)
+}
+
+/// A repeated contour is answered from the request memo: the same bytes
+/// and no transient step. A request whose axis differs by one ULP is a
+/// different key and simulates again.
+#[test]
+fn repeated_contour_is_served_from_the_memo_and_a_one_ulp_axis_recomputes() {
+    let _g = suite_lock();
+    fault::disarm();
+    let mut service = service_with_limits(Fidelity::Fast, ExecLimits::none());
+    telemetry::reset();
+    telemetry::arm();
+    let first = service.submit(small_contour(0.45)).expect("cold contour");
+    let second = service
+        .submit(small_contour(0.45))
+        .expect("memoized contour");
+    let nudged = service
+        .submit(small_contour(0.45f64.next_up()))
+        .expect("nudged contour");
+    telemetry::disarm();
+
+    let map = first.contour().expect("contour payload");
+    assert!(map.feasible().count() >= 3, "{map:?}");
+    assert!(
+        transient_steps(&first.telemetry) > 0,
+        "the cold job simulates"
+    );
+    assert_eq!(
+        format!("{map:?}"),
+        format!("{:?}", second.contour().expect("contour payload")),
+        "a repeat must answer with the cold job's map"
+    );
+    assert_eq!(
+        transient_steps(&second.telemetry),
+        transient_steps(&first.telemetry),
+        "a repeat must run no transient step"
+    );
+    assert!(
+        transient_steps(&nudged.telemetry) > transient_steps(&second.telemetry),
+        "a one-ULP axis change must not alias the memoized map"
+    );
+    let nudged = nudged.contour().expect("contour payload");
+    assert_eq!(nudged.vdd_axis[1], 0.45f64.next_up());
+}
+
+/// A sweep after a characterization reads the memoized universe: it
+/// characterizes no cell, and a later characterization is served by
+/// the same pointer.
+#[test]
+fn sweep_after_characterize_reuses_the_universe_by_pointer() {
+    let _g = suite_lock();
+    fault::disarm();
+    let mut service = service_with_limits(Fidelity::Fast, ExecLimits::none());
+    let cells = |r: &gnrlab::explore::service::JobResponse| {
+        r.telemetry.counter("mc.characterize.cells").unwrap_or(0)
+    };
+    telemetry::reset();
+    telemetry::arm();
+    let a = service
+        .submit(JobRequest::characterize(0.4, 15))
+        .expect("characterize");
+    let sweep = service
+        .submit(JobRequest::mc_sweep(0.4, 15, MC_CHECKPOINT_CHUNK, MC_SEED))
+        .expect("sweep");
+    let b = service
+        .submit(JobRequest::characterize(0.4, 15))
+        .expect("characterize again");
+    telemetry::disarm();
+    assert!(cells(&a) > 0, "the first job characterizes");
+    assert_eq!(cells(&sweep), cells(&a), "the sweep characterizes no cell");
+    assert!(sweep.mc().expect("sweep payload").is_complete());
+    assert!(
+        std::ptr::eq(
+            a.universe().expect("universe payload"),
+            b.universe().expect("universe payload")
+        ),
+        "the universe must be served from the memo"
+    );
+}
+
+/// A contour on a cancelled service stops with a typed error before any
+/// grid point simulates, and the error is not memoized: with fresh
+/// limits the same request answers with the map of a never-cancelled
+/// service.
+#[test]
+fn cancelled_contour_is_a_typed_stop_and_is_not_memoized() {
+    let _g = suite_lock();
+    fault::disarm();
+    // The two services share one store, so the cancelled one finds the
+    // device table built and reaches the grid points.
+    let store = Arc::new(gnrlab::device::TableStore::in_memory());
+    let service = |limits: ExecLimits| {
+        CharacterizationService::with_library(
+            ExecCtx::from_env().with_limits(limits),
+            DeviceLibrary::with_store(Fidelity::Fast, Arc::clone(&store)),
+        )
+    };
+    let reference = service(ExecLimits::none())
+        .submit(small_contour(0.45))
+        .expect("never-cancelled contour");
+
+    let token = CancelToken::new();
+    token.cancel();
+    let mut cancelled = service(ExecLimits::none().with_cancel(token));
+    telemetry::reset();
+    telemetry::arm();
+    let stopped = cancelled.submit(small_contour(0.45));
+    let steps = transient_steps(&telemetry::snapshot());
+    telemetry::disarm();
+    match stopped {
+        Err(e) => assert!(e.is_budget_stop(), "expected a typed stop, got {e:?}"),
+        Ok(r) => panic!("a cancelled service answered {:?}", r.contour()),
+    }
+    assert_eq!(steps, 0, "a cancelled contour must not simulate");
+
+    cancelled.set_limits(ExecLimits::none());
+    let resumed = cancelled
+        .submit(small_contour(0.45))
+        .expect("fresh limits admit the job");
+    assert_eq!(
+        format!("{:?}", resumed.contour().expect("contour payload")),
+        format!("{:?}", reference.contour().expect("contour payload")),
+    );
+}
