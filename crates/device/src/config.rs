@@ -6,7 +6,7 @@
 //! maps exactly onto the structured Poisson grid.
 
 use crate::error::DeviceError;
-use gnr_lattice::{AGnr, BandStructure};
+use gnr_lattice::AGnr;
 use gnr_num::consts::EPS_R_SIO2;
 use gnr_poisson::{Grid3, PoissonProblem, Region};
 
@@ -76,15 +76,6 @@ impl DeviceConfig {
     /// Channel length in nm.
     pub fn channel_nm(&self) -> f64 {
         self.channel_cells as f64 * self.gnr.period_m() * 1e9
-    }
-
-    /// Band structure of the channel ribbon (cached by callers).
-    ///
-    /// # Errors
-    ///
-    /// Propagates band-solve failures.
-    pub fn bands(&self) -> Result<BandStructure, DeviceError> {
-        Ok(self.gnr.band_structure(128)?)
     }
 
     /// Grid cell counts `(nx, ny, nz)` implied by the geometry.

@@ -35,6 +35,9 @@ pub const HBAR_VFERMI_EV_NM: f64 = 1.5 * T_HOPPING * 0.142;
 /// Number of conduction subbands included in transport and charge.
 const SUBBANDS: usize = 3;
 
+/// k samples over `[0, π]` on which the subband minima are taken.
+const BAND_K_POINTS: usize = 128;
+
 /// Energy step of the Landauer integration \[eV\].
 const ENERGY_STEP: f64 = 0.004;
 
@@ -80,7 +83,7 @@ fn check_bias(v: f64) -> Result<(), DeviceError> {
 /// Semi-analytic ballistic SBFET model bound to one device configuration.
 ///
 /// See the [module documentation](self) for the physics; [`new`](Self::new)
-/// performs the three 3D Laplace solves and the band-structure calculation.
+/// performs the three 3D Laplace solves and finds the subband edges.
 /// Nothing caches them here: callers that need several impurity variants of
 /// one width derive them with
 /// [`with_added_impurities`](Self::with_added_impurities), which reuses the
@@ -106,8 +109,7 @@ impl SbfetModel {
     /// Propagates Poisson and band-structure failures.
     pub fn new(cfg: &DeviceConfig) -> Result<Self, DeviceError> {
         let responses = cfg.electrode_responses()?;
-        let bands = cfg.bands()?;
-        let subbands = bands.conduction_subband_edges(SUBBANDS);
+        let subbands = cfg.gnr.conduction_subband_edges(BAND_K_POINTS, SUBBANDS)?;
         if subbands.is_empty() {
             return Err(DeviceError::config(
                 "ribbon has no conduction subbands (metallic index?)",

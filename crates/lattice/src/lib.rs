@@ -134,6 +134,24 @@ impl AGnr {
         bands::compute(*self, k_points)
     }
 
+    /// Energies of the first `count` conduction subband minima, ascending
+    /// (eV): each band's minimum over the `k_points`-sample grid of
+    /// [`AGnr::band_structure`], kept if above 0 eV. Bit-identical to the
+    /// minima of that band structure, at a fraction of its cost: an
+    /// eigenvalues-only screen of every k, then the band structure's own
+    /// Hermitian solver at the few k where a minimum may lie.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LatticeError::BandSolve`] if an eigensolver fails.
+    pub fn conduction_subband_edges(
+        &self,
+        k_points: usize,
+        count: usize,
+    ) -> Result<Vec<f64>, LatticeError> {
+        Ok(bands::screened_subband_edges(*self, k_points, count)?.0)
+    }
+
     /// Builds the lattice of a finite segment with `cells` unit cells.
     pub fn lattice(&self, cells: usize) -> RibbonLattice {
         RibbonLattice::new(*self, cells)

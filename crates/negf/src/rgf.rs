@@ -505,8 +505,7 @@ mod tests {
     #[test]
     fn ideal_ribbon_transmission_is_integer_mode_count() {
         let gnr = AGnr::new(9).unwrap();
-        let bands = gnr.band_structure(96).unwrap();
-        let edges = bands.conduction_subband_edges(2);
+        let edges = gnr.conduction_subband_edges(96, 2).unwrap();
         let solver = ideal_solver(9, 5);
         // Just above the first subband edge: exactly one open mode.
         let t1 = solver.transmission(edges[0] + 0.03).unwrap();

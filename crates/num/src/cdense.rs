@@ -358,25 +358,8 @@ impl CMatrix {
     /// Returns [`NumError::InvalidInput`] if the matrix is not Hermitian
     /// within tolerance, or propagates the real solver's failures.
     pub fn herm_eigen(&self) -> NumResult<(Vec<f64>, CMatrix)> {
-        if self.rows != self.cols {
-            return Err(NumError::dims("herm_eigen requires a square matrix"));
-        }
-        let tol = 1e-9 * (1.0 + self.max_abs());
-        if self.hermiticity_defect() > tol {
-            return Err(NumError::invalid("matrix is not Hermitian"));
-        }
+        let big = self.real_embedding()?;
         let n = self.rows;
-        let big = Matrix::from_fn(2 * n, 2 * n, |i, j| {
-            let (bi, ii) = (i / n, i % n);
-            let (bj, jj) = (j / n, j % n);
-            let z = self.get(ii, jj);
-            match (bi, bj) {
-                (0, 0) | (1, 1) => z.re,
-                (0, 1) => -z.im,
-                (1, 0) => z.im,
-                _ => unreachable!(),
-            }
-        });
         let (evals, evecs) = big.sym_eigen()?;
         // Each eigenvalue appears twice; take every other one and rebuild the
         // complex eigenvector from the paired real/imag blocks.
@@ -394,6 +377,45 @@ impl CMatrix {
             col += 1;
         }
         Ok((out_vals, out_vecs))
+    }
+
+    /// Eigenvalues of a *Hermitian* matrix, ascending, without
+    /// eigenvectors: [`Matrix::sym_eigenvalues`] on the same real embedding
+    /// that [`CMatrix::herm_eigen`] diagonalizes, keeping one value of each
+    /// degenerate pair.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumError::InvalidInput`] if the matrix is not Hermitian
+    /// within tolerance, or propagates the real solver's failures.
+    pub fn herm_eigenvalues(&self) -> NumResult<Vec<f64>> {
+        let evals = self.real_embedding()?.into_sym_eigenvalues()?;
+        Ok(evals.into_iter().step_by(2).collect())
+    }
+
+    /// The `2n × 2n` real symmetric embedding `[[Re A, -Im A], [Im A,
+    /// Re A]]` of a Hermitian `A`, after checking that `A` is square and
+    /// Hermitian within tolerance.
+    fn real_embedding(&self) -> NumResult<Matrix> {
+        if self.rows != self.cols {
+            return Err(NumError::dims("herm_eigen requires a square matrix"));
+        }
+        let tol = 1e-9 * (1.0 + self.max_abs());
+        if self.hermiticity_defect() > tol {
+            return Err(NumError::invalid("matrix is not Hermitian"));
+        }
+        let n = self.rows;
+        Ok(Matrix::from_fn(2 * n, 2 * n, |i, j| {
+            let (bi, ii) = (i / n, i % n);
+            let (bj, jj) = (j / n, j % n);
+            let z = self.get(ii, jj);
+            match (bi, bj) {
+                (0, 0) | (1, 1) => z.re,
+                (0, 1) => -z.im,
+                (1, 0) => z.im,
+                _ => unreachable!(),
+            }
+        }))
     }
 }
 

@@ -18,8 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "N=12 A-GNR: Eg = {:.3} eV, first subband edges: {:?}",
         bands.gap(),
-        bands
-            .conduction_subband_edges(3)
+        gnr.conduction_subband_edges(96, 3)?
             .iter()
             .map(|e| format!("{e:.3}"))
             .collect::<Vec<_>>()
